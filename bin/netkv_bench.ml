@@ -149,26 +149,9 @@ module Drive (S : Smr.Smr_intf.S) = struct
 end
 
 let run_cell p ~scheme ~rate =
-  match scheme with
-  | "HP++" ->
-      let module D = Drive (Hp_plus) in
-      D.run_cell p ~rate
-  | "HP" ->
-      let module D = Drive (Hp) in
-      D.run_cell p ~rate
-  | "EBR" ->
-      let module D = Drive (Ebr) in
-      D.run_cell p ~rate
-  | "PEBR" ->
-      let module D = Drive (Pebr) in
-      D.run_cell p ~rate
-  | "NR" ->
-      let module D = Drive (Nr) in
-      D.run_cell p ~rate
-  | "RC" ->
-      let module D = Drive (Rc) in
-      D.run_cell p ~rate
-  | s -> invalid_arg ("unknown scheme: " ^ s)
+  let module S = (val Schemes.find scheme) in
+  let module D = Drive (S) in
+  D.run_cell p ~rate
 
 let run_remote p ~addr ~rate =
   let cfg = cfg_of p ~addr ~rate in
@@ -266,7 +249,11 @@ let summary_table cells =
 open Cmdliner
 
 let schemes_arg =
-  let doc = "Comma-separated schemes for in-process servers." in
+  let doc =
+    "Comma-separated schemes for in-process servers ("
+    ^ String.concat "," Schemes.names
+    ^ ")."
+  in
   Arg.(value & opt string "HP,EBR" & info [ "schemes" ] ~doc)
 
 let rates_arg =

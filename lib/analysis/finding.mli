@@ -1,8 +1,8 @@
 (** Lint rules and findings. *)
 
 type rule = {
-  id : string;  (** short id, e.g. ["R1"] *)
-  slug : string;  (** kebab-case name, e.g. ["raw-link-deref"] *)
+  id : string;  (** short id, e.g. ["R2"] *)
+  slug : string;  (** kebab-case name, e.g. ["invalidate-before-free"] *)
   file_scope : bool;
       (** file-granularity rule: suppressible by a pragma anywhere in the
           file (line rules need the pragma on the finding's line or the line
@@ -10,8 +10,6 @@ type rule = {
   suppressible : bool;  (** pragma-suppressible at all *)
   summary : string;
 }
-
-val r1 : rule  (** raw-link-deref *)
 
 val r2 : rule  (** invalidate-before-free *)
 
@@ -21,7 +19,7 @@ val r4 : rule  (** unguarded-trace-alloc *)
 
 val r5 : rule  (** missing-mli *)
 
-val f1 : rule  (** unvalidated-deref (flow; subsumes R1) *)
+val f1 : rule  (** unvalidated-deref (flow) *)
 
 val f2 : rule  (** protected-escape (flow) *)
 

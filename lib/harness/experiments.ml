@@ -36,6 +36,9 @@ let run_instance s (i : Instances.instance) ~threads ~key_range ~workload =
     ~workload:workload.Workload.name r;
   r
 
+(* HHSList under HP++: the subject of the fence and threshold ablations. *)
+let hhs_hpp () = Option.get (Instances.find ~ds:"HHSList" ~scheme:"HP++")
+
 (* One data structure, thread rows, scheme columns. *)
 let ds_sweep s ~ds ~workload ~key_range ~(metric : metric) =
   let insts = Instances.for_ds ds in
@@ -140,22 +143,14 @@ let fig10 s =
       prefill_ratio = 0.5;
     }
   in
-  let columns = [ "NR"; "EBR"; "PEBR"; "HP"; "HP++"; "RC" ] in
+  let columns = Instances.schemes_order in
   let run_one scheme key_range =
     let c = cfg key_range in
+    let ds = if scheme = "HP" then "HMList" else "HHSList" in
     let r =
-      match scheme with
-      | "NR" -> Instances.Hhs_nr.run_long_reads ~writer_range:64 c
-      | "EBR" -> Instances.Hhs_ebr.run_long_reads ~writer_range:64 c
-      | "PEBR" -> Instances.Hhs_pebr.run_long_reads ~writer_range:64 c
-      | "HP" -> Instances.Hm_hp.run_long_reads ~writer_range:64 c
-      | "HP++" -> Instances.Hhs_hpp.run_long_reads ~writer_range:64 c
-      | "RC" -> Instances.Hhs_rc.run_long_reads ~writer_range:64 c
-      | _ -> assert false
+      (Option.get (Instances.find ~ds ~scheme)).long_reads ~writer_range:64 c
     in
-    Collector.add
-      ~ds:(if scheme = "HP" then "HMList" else "HHSList")
-      ~scheme ~threads ~key_range ~workload:"long-reads" r;
+    Collector.add ~ds ~scheme ~threads ~key_range ~workload:"long-reads" r;
     r
   in
   let results =
@@ -283,7 +278,7 @@ let alg5 s =
           List.map
             (fun (variant, config) ->
               let r =
-                Instances.Hhs_hpp.run ~config
+                (hhs_hpp ()).Instances.run ~config
                   {
                     threads;
                     duration = s.duration;
@@ -349,7 +344,7 @@ let thresholds s =
         in
         let name = Printf.sprintf "inv=%d/rec=%d" inv rec_ in
         let r =
-          Instances.Hhs_hpp.run ~config
+          (hhs_hpp ()).Instances.run ~config
             {
               threads;
               duration = s.duration;

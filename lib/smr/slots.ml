@@ -230,20 +230,4 @@ let scan_mem scan uid =
 
 let scan_size scan = scan.len
 
-(* Legacy Hashtbl-based scan, retained only so bench/hotpath.ml can measure
-   the path this module replaced. Schemes no longer call it. *)
-let protected_set registry =
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun chunk ->
-      if Atomic.get chunk.active then
-        Array.iter
-          (fun slot ->
-            match Atomic.get slot with
-            | Some hdr -> Hashtbl.replace table (Mem.uid hdr) ()
-            | None -> ())
-          chunk.slots)
-    (Atomic.get registry.chunks);
-  table
-
 let total_slots registry = chunk_size * List.length (Atomic.get registry.chunks)

@@ -67,8 +67,4 @@ val scan_mem : scan -> int -> bool
 val scan_size : scan -> int
 (** Number of protected uids captured by the last snapshot. *)
 
-val protected_set : registry -> (int, unit) Hashtbl.t
-(** Legacy Hashtbl-based scan, kept only as the measured baseline for
-    [bench/main.exe exp hotpath]; reclamation schemes use {!scan_snapshot}. *)
-
 val total_slots : registry -> int

@@ -1,10 +1,12 @@
 (* Tests for the asynchronous reclamation pipeline: the bounded MPSC
-   handoff ring and collector domain (lib/smr/collector.ml), the adaptive
-   threshold policy, retire-bag growth/transfer/salvage, and the
-   scheme-level contracts — clean shutdown drains everything, a stalled or
-   dead collector degrades to inline reclamation with bounded garbage and
-   no lost or double-freed blocks. The fault plan is global, so every test
-   touching it resets on entry. *)
+   handoff ring and collector domain (lib/smr/collector.ml), retire-bag
+   growth/transfer/salvage, and the contracts of the shared pipeline
+   (lib/smr/pipeline.ml) on each of its four instances — HP, HP++, EBR and
+   PEBR: clean shutdown drains everything, a stalled or dead collector
+   degrades to inline reclamation with bounded garbage and no lost or
+   double-freed blocks, and the handoff grain never exceeds a small
+   threshold. The fault plan is global, so every test touching it resets
+   on entry. *)
 
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
@@ -16,31 +18,11 @@ module Check = Obs.Check
 
 let base = Smr.Smr_intf.default_config
 
-(* --- adaptive threshold policy (pure) ----------------------------------- *)
-
-let test_adapt_threshold () =
-  let adapt = Collector.adapt_threshold in
-  Alcotest.(check int) "halve under pressure" 64
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:300);
-  Alcotest.(check int) "double when garbage is low" 256
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:10);
-  Alcotest.(check int) "hold inside the band" 128
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:128);
-  Alcotest.(check int) "halving clamps at lo" 16
-    (adapt ~cur:20 ~lo:16 ~hi:1024 ~pending:1000);
-  Alcotest.(check int) "doubling clamps at hi" 1024
-    (adapt ~cur:1024 ~lo:16 ~hi:1024 ~pending:0);
-  (* degenerate bounds must never drive the threshold to zero (which would
-     retire-collect on every single retire, or worse, never) *)
-  Alcotest.(check int) "lo floor is 1" 1
-    (adapt ~cur:0 ~lo:0 ~hi:0 ~pending:100)
-
 (* --- retire bags: growth, transfer, in-place salvage --------------------- *)
 
-(* Pin: bags grow past their initial capacity. The adaptive threshold can
-   exceed the 2*reclaim_threshold a handle's bag was sized for, and a
-   fallback path can keep pushing into a full bag; neither may drop
-   entries. *)
+(* Pin: bags grow past their initial capacity. A fallback path can keep
+   pushing into a bag beyond the 2*reclaim_threshold it was sized for, and
+   a steal appends whole queued bags to it; neither may drop entries. *)
 let test_bag_growth () =
   let b = Retire_bag.create ~capacity:4 (-1) in
   for i = 0 to 99 do
@@ -168,45 +150,67 @@ let test_ring_full_rejects_and_recovers () =
   Alcotest.(check int) "nothing lost" 2 (!drained + !recovered);
   Fault.reset ()
 
-(* --- HP: clean shutdown drains everything, trace-checker clean ----------- *)
+(* --- the pipeline's four instances ---------------------------------------- *)
 
-let test_hp_async_clean_shutdown () =
+(* HP, HP++, EBR and PEBR share one pipeline; each test body below runs on
+   every one of them. The hazard schemes gate their inline fallback on bag
+   length, the epoch schemes on entries pushed since the last pass or
+   handoff (their unripe survivors keep the bag long after a pass). *)
+let pipeline_schemes = List.map Schemes.find [ "HP"; "HP++"; "EBR"; "PEBR" ]
+let gates_on_passes name = name = "EBR" || name = "PEBR"
+
+let counters (type a) (module S : Smr.Smr_intf.S with type t = a) (t : a) =
+  match S.collector_stats t with
+  | Some st -> st.Collector.ctrs
+  | None -> Alcotest.failf "async %s has no collector" S.name
+
+let events_of snap k =
+  List.filter
+    (fun (e : Trace.event) -> e.Trace.kind = k)
+    (Array.to_list snap.Trace.events)
+
+(* After shutdown every handed-off block is freed or orphaned: one
+   surviving handle's flush adopts and frees the rest — nothing is
+   protected or pinned any more. *)
+let check_drains_to_zero (type a) (module S : Smr.Smr_intf.S with type t = a)
+    (t : a) =
+  let survivor = S.register t in
+  S.flush survivor;
+  Alcotest.(check int)
+    (S.name ^ ": zero residue after shutdown + survivor flush")
+    0
+    (Stats.unreclaimed (S.stats t));
+  Alcotest.(check int)
+    (S.name ^ ": freed exactly what was allocated")
+    (Stats.allocated (S.stats t))
+    (Stats.freed (S.stats t));
+  S.unregister survivor
+
+let clean_shutdown (module S : Smr.Smr_intf.S) () =
   Fault.reset ();
   let cfg =
     { base with reclaim_threshold = 16; async_reclaim = true;
       handoff_capacity = 4 }
   in
   Trace.enable ~capacity:(1 lsl 16) ();
-  let t = Hp.create ~config:cfg () in
+  let t = S.create ~config:cfg () in
   ignore
     (Pool.run ~n:3 (fun _ ->
-         let h = Hp.register t in
+         let h = S.register t in
          for _ = 1 to 500 do
-           Hp.retire h (Mem.make (Hp.stats t))
+           S.retire h (Mem.make (S.stats t))
          done;
-         Hp.flush h;
-         Hp.unregister h));
-  Hp.shutdown t;
-  (* the orphanage holds whatever shutdown donated; one surviving inline
-     pass adopts and frees it — no hazards remain *)
-  let survivor = Hp.register t in
-  Hp.flush survivor;
-  Alcotest.(check int) "zero residue after shutdown + survivor flush" 0
-    (Stats.unreclaimed (Hp.stats t));
-  Alcotest.(check int) "freed exactly what was allocated"
-    (Stats.allocated (Hp.stats t))
-    (Stats.freed (Hp.stats t));
-  Hp.unregister survivor;
+         S.flush h;
+         S.unregister h));
+  S.shutdown t;
+  check_drains_to_zero (module S) t;
   Trace.disable ();
   let snap = Trace.snapshot () in
   Trace.reset ();
-  let count k =
-    Array.fold_left
-      (fun acc (e : Trace.event) -> if e.Trace.kind = k then acc + 1 else acc)
-      0 snap.Trace.events
-  in
-  Alcotest.(check bool) "handoffs traced" true (count Trace.Handoff > 0);
-  Alcotest.(check bool) "drain cycles traced" true (count Trace.Drain > 0);
+  Alcotest.(check bool) "handoffs traced" true
+    (events_of snap Trace.Handoff <> []);
+  Alcotest.(check bool) "drain cycles traced" true
+    (events_of snap Trace.Drain <> []);
   (match Check.run_snapshot snap with
   | Ok _ -> ()
   | Error (v :: rest) ->
@@ -214,94 +218,159 @@ let test_hp_async_clean_shutdown () =
         (Format.asprintf "%a" Check.pp_violation v)
         (List.length rest)
   | Error [] -> assert false);
-  match Hp.collector_counters t with
-  | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
-      Alcotest.(check bool) "collector saw the handoffs" true
-        (k.Collector.handoffs > 0)
+  Alcotest.(check bool) "collector saw the handoffs" true
+    ((counters (module S) t).Collector.handoffs > 0)
 
-(* --- HP: stalled collector degrades to bounded inline reclamation -------- *)
-
-let test_hp_stalled_collector_inline_fallback () =
+(* A stalled collector degrades to bounded inline reclamation, never at a
+   denser cadence than inline mode. *)
+let stalled_collector (module S : Smr.Smr_intf.S) () =
   Fault.reset ();
+  let threshold = 8 and retires = 200 in
   let cfg =
-    { base with reclaim_threshold = 8; async_reclaim = true;
+    { base with reclaim_threshold = threshold; async_reclaim = true;
       handoff_capacity = 1 }
   in
-  let t = Hp.create ~config:cfg () in
-  let h = Hp.register t in
+  let t = S.create ~config:cfg () in
+  let h = S.register t in
   Fault.arm ~point:Fault.Collector ~action:Fault.Stall ();
   Fault.await_stalled ();
-  for _ = 1 to 200 do
-    Hp.retire h (Mem.make (Hp.stats t))
+  Trace.enable ~capacity:(1 lsl 14) ();
+  for _ = 1 to retires do
+    S.retire h (Mem.make (S.stats t))
   done;
-  (match Hp.collector_counters t with
-  | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
-      (* the requested capacity of 1 is clamped to the 2-cell minimum; the
-         stalled ring fills, every further threshold crossing falls back
-         inline, and the baseline scans steal the queued bags back out —
-         so the ring cycles (handoffs keep landing) and no handed-off bag
-         ever waits on the stalled domain *)
-      Alcotest.(check bool) "handoffs landed" true (k.Collector.handoffs >= 2);
-      Alcotest.(check bool) "fallbacks counted" true (k.Collector.fallbacks > 0);
-      Alcotest.(check bool) "queued bags stolen into inline scans" true
-        (k.Collector.steals > 0);
-      Alcotest.(check int) "stall means the collector itself drained nothing"
-        0 k.Collector.drained_bags);
-  let peak = Stats.unreclaimed (Hp.stats t) in
+  Trace.disable ();
+  let snap = Trace.snapshot () in
+  Trace.reset ();
+  let k = counters (module S) t in
+  (* the requested capacity of 1 is clamped to the 2-cell minimum; the
+     stalled ring fills, every further crossing falls back inline, and the
+     fallback passes steal the queued bags back out — so the ring cycles
+     (handoffs keep landing) and no handed-off bag ever waits on the
+     stalled domain *)
+  Alcotest.(check bool) "handoffs landed" true (k.Collector.handoffs >= 2);
+  Alcotest.(check bool) "fallbacks counted" true (k.Collector.fallbacks > 0);
+  Alcotest.(check bool) "queued bags stolen into inline scans" true
+    (k.Collector.steals > 0);
+  Alcotest.(check int) "stall means the collector itself drained nothing" 0
+    k.Collector.drained_bags;
+  let peak = Stats.unreclaimed (S.stats t) in
   if peak > 64 then
-    Alcotest.failf "garbage %d not bounded by the inline fallback" peak;
+    Alcotest.failf "%s: garbage %d not bounded by the inline fallback" S.name
+      peak;
+  (* the collector is parked, so every pass is a mutator's fallback *)
+  let passes = events_of snap Trace.Reclaim_pass in
+  Alcotest.(check bool) "fallback passes ran" true (passes <> []);
+  Alcotest.(check bool) "no denser than the inline cadence" true
+    (List.length passes * threshold <= retires);
+  (if gates_on_passes S.name then begin
+     (* pass-counter gate: a pass resets the gate whatever survives it, so
+        handoffs resume after the first fallback instead of ratcheting
+        into a pass per crossing *)
+     let first_pass = (List.hd passes).Trace.seq in
+     Alcotest.(check bool) "handoffs resume after a fallback pass" true
+       (List.exists
+          (fun (e : Trace.event) -> e.Trace.seq > first_pass)
+          (events_of snap Trace.Handoff))
+   end
+   else
+     (* length gate: a pass runs only on a baseline-long bag, and with
+        nothing protected it frees all of it *)
+     List.iter
+       (fun (e : Trace.event) ->
+         if e.Trace.a < threshold then
+           Alcotest.failf "%s: fallback pass freed %d < %d" S.name e.Trace.a
+             threshold)
+       passes);
   Fault.release ();
-  Hp.flush h;
-  Hp.unregister h;
-  Hp.shutdown t;
-  let survivor = Hp.register t in
-  Hp.flush survivor;
-  Alcotest.(check int) "drains to zero once released" 0
-    (Stats.unreclaimed (Hp.stats t));
-  Hp.unregister survivor;
+  S.flush h;
+  S.unregister h;
+  S.shutdown t;
+  check_drains_to_zero (module S) t;
   Fault.reset ()
 
-(* --- HP: dead collector, queued bags salvaged, no double free ------------ *)
-
-let test_hp_collector_kill_salvage () =
+(* A dead collector: queued and pending bags are salvaged, none is lost and
+   none freed twice. *)
+let killed_collector (module S : Smr.Smr_intf.S) () =
   Fault.reset ();
   let cfg =
     { base with reclaim_threshold = 8; async_reclaim = true;
       handoff_capacity = 2 }
   in
-  let t = Hp.create ~config:cfg () in
-  let h = Hp.register t in
+  let t = S.create ~config:cfg () in
+  let h = S.register t in
   Fault.arm ~point:Fault.Collector ~action:Fault.Kill ~after:3 ();
   (* the collector hits the point on every loop iteration, so the kill
      fires on its own; retire meanwhile to race handoffs against it *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (Fault.fired ())) && Unix.gettimeofday () < deadline do
-    Hp.retire h (Mem.make (Hp.stats t))
+    S.retire h (Mem.make (S.stats t))
   done;
   Alcotest.(check bool) "collector killed" true (Fault.fired ());
   for _ = 1 to 160 do
-    Hp.retire h (Mem.make (Hp.stats t))
+    S.retire h (Mem.make (S.stats t))
   done;
-  (match Hp.collector_counters t with
-  | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
-      Alcotest.(check bool) "mutator fell back inline after the death" true
-        (k.Collector.fallbacks > 0));
-  Hp.flush h;
-  Hp.unregister h;
+  Alcotest.(check bool) "mutator fell back inline after the death" true
+    ((counters (module S) t).Collector.fallbacks > 0);
+  S.flush h;
+  S.unregister h;
   (* shutdown salvages anything the dead collector left queued or pending *)
-  Hp.shutdown t;
-  let survivor = Hp.register t in
-  Hp.flush survivor;
-  Alcotest.(check int) "all garbage salvaged and freed" 0
-    (Stats.unreclaimed (Hp.stats t));
-  Alcotest.(check int) "no block lost, none freed twice"
-    (Stats.allocated (Hp.stats t))
-    (Stats.freed (Hp.stats t));
-  Hp.unregister survivor;
+  S.shutdown t;
+  check_drains_to_zero (module S) t;
   Fault.reset ()
+
+(* The handoff grain is [min threshold (max 16 (threshold / 8))] and never
+   moves: with a threshold of 8, every handed-off bag holds 8 entries,
+   across as many drains as the collector runs. Each round hands one bag
+   over and waits for the collector to drain it, so the ring never fills
+   and no bag grows past the grain while waiting. *)
+let grain_within_threshold (module S : Smr.Smr_intf.S) () =
+  Fault.reset ();
+  let threshold = 8 and rounds = 6 in
+  let cfg =
+    { base with reclaim_threshold = threshold; async_reclaim = true }
+  in
+  let t = S.create ~config:cfg () in
+  let h = S.register t in
+  Trace.enable ~capacity:(1 lsl 14) ();
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  for round = 1 to rounds do
+    while (counters (module S) t).Collector.handoffs < round do
+      S.retire h (Mem.make (S.stats t))
+    done;
+    while
+      (counters (module S) t).Collector.drained_bags < round
+      && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 1e-4
+    done
+  done;
+  Trace.disable ();
+  let snap = Trace.snapshot () in
+  Trace.reset ();
+  Alcotest.(check bool) "several drains ran" true
+    ((counters (module S) t).Collector.drained_bags >= rounds);
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.Trace.a > threshold then
+        Alcotest.failf "%s: handed off a bag of %d > threshold %d" S.name
+          e.Trace.a threshold)
+    (events_of snap Trace.Handoff);
+  S.flush h;
+  S.unregister h;
+  S.shutdown t;
+  check_drains_to_zero (module S) t
+
+let pipeline_cases s =
+  [
+    Alcotest.test_case "clean shutdown drains all bags" `Quick
+      (clean_shutdown s);
+    Alcotest.test_case "stalled collector: bounded inline fallback" `Quick
+      (stalled_collector s);
+    Alcotest.test_case "killed collector: salvage, no double free" `Quick
+      (killed_collector s);
+    Alcotest.test_case "handoff grain within a threshold of 8" `Quick
+      (grain_within_threshold s);
+  ]
 
 (* --- every scheme: async smoke, multi-domain churn drains to zero -------- *)
 
@@ -446,49 +515,45 @@ let test_collector_stats_after_drains () =
   Hp.shutdown t
 
 let () =
-  Alcotest.run "collector"
+  let hp_only =
     [
-      ( "policy",
-        [ Alcotest.test_case "adaptive threshold clamps" `Quick
-            test_adapt_threshold ] );
-      ( "bags",
-        [
-          Alcotest.test_case "growth past initial capacity" `Quick
-            test_bag_growth;
-          Alcotest.test_case "transfer appends and empties" `Quick
-            test_bag_transfer;
-          Alcotest.test_case "salvage compacts in place" `Quick
-            test_bag_salvage_in_place;
-        ] );
-      ( "ring",
-        [
-          Alcotest.test_case "handoff, drain, clean shutdown" `Quick
-            test_ring_basic;
-          Alcotest.test_case "full ring rejects; queued bags recovered" `Quick
-            test_ring_full_rejects_and_recovers;
-        ] );
-      ( "hp",
-        [
-          Alcotest.test_case "clean shutdown drains all bags" `Quick
-            test_hp_async_clean_shutdown;
-          Alcotest.test_case "stalled collector: bounded inline fallback"
-            `Quick test_hp_stalled_collector_inline_fallback;
-          Alcotest.test_case "killed collector: salvage, no double free"
-            `Quick test_hp_collector_kill_salvage;
-          Alcotest.test_case "stats gauges pinned under forced stall" `Quick
-            test_collector_stats_under_stall;
-          Alcotest.test_case "drain histograms filled after real cycles" `Quick
-            test_collector_stats_after_drains;
-          Alcotest.test_case "flag off: no collector, inline unchanged" `Quick
-            test_flag_off_no_collector;
-        ] );
-      ( "schemes",
-        [
-          Alcotest.test_case "HP++ async smoke" `Quick
-            (async_smoke (module Hp_plus));
-          Alcotest.test_case "EBR async smoke" `Quick
-            (async_smoke (module Ebr));
-          Alcotest.test_case "PEBR async smoke" `Quick
-            (async_smoke (module Pebr));
-        ] );
+      Alcotest.test_case "stats gauges pinned under forced stall" `Quick
+        test_collector_stats_under_stall;
+      Alcotest.test_case "drain histograms filled after real cycles" `Quick
+        test_collector_stats_after_drains;
+      Alcotest.test_case "flag off: no collector, inline unchanged" `Quick
+        test_flag_off_no_collector;
     ]
+  in
+  Alcotest.run "collector"
+    ([
+       ( "bags",
+         [
+           Alcotest.test_case "growth past initial capacity" `Quick
+             test_bag_growth;
+           Alcotest.test_case "transfer appends and empties" `Quick
+             test_bag_transfer;
+           Alcotest.test_case "salvage compacts in place" `Quick
+             test_bag_salvage_in_place;
+         ] );
+       ( "ring",
+         [
+           Alcotest.test_case "handoff, drain, clean shutdown" `Quick
+             test_ring_basic;
+           Alcotest.test_case "full ring rejects; queued bags recovered"
+             `Quick test_ring_full_rejects_and_recovers;
+         ] );
+     ]
+    @ List.map
+        (fun ((module S : Smr.Smr_intf.S) as s) ->
+          ( String.lowercase_ascii S.name,
+            pipeline_cases s @ if S.name = "HP" then hp_only else [] ))
+        pipeline_schemes
+    @ [
+        ( "schemes",
+          List.map
+            (fun name ->
+              Alcotest.test_case (name ^ " async smoke") `Quick
+                (async_smoke (Schemes.find name)))
+            [ "HP++"; "EBR"; "PEBR" ] );
+      ])

@@ -1,9 +1,11 @@
 (* Harness-level units: the workload mix generator actually produces the
-   configured operation ratios, and the metric name table stays total. *)
+   configured operation ratios, the metric name table stays total, and the
+   benchmark matrix derived from the scheme registry keeps its cells. *)
 
 module Workload = Bench_harness.Workload
 module Bench_types = Bench_harness.Bench_types
 module Rng = Smr_core.Rng
+module Instances = Bench_harness.Instances
 
 let test_pick_ratios () =
   List.iter
@@ -114,6 +116,39 @@ let test_collector_rows () =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* The matrix is ds x registered scheme minus the cells whose structure
+   raises Unsupported_scheme on creation: exactly the paper's "not
+   applicable" entries, in table order. *)
+let test_instance_matrix () =
+  let six = [ "NR"; "EBR"; "PEBR"; "HP"; "HP++"; "RC" ] in
+  let without x = List.filter (( <> ) x) six in
+  let expected =
+    List.concat_map
+      (fun (ds, schemes) -> List.map (fun s -> (ds, s)) schemes)
+      [
+        ("HMList", six);
+        ("HHSList", without "HP");
+        ("HashMap", six);
+        ("SkipList", six);
+        ("NMTree", without "HP");
+        ("EFRBTree", without "RC");
+        ("Bonsai", six);
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "cells and order" expected
+    (List.map
+       (fun (i : Instances.instance) -> (i.ds, i.scheme))
+       (Lazy.force Instances.all));
+  Alcotest.(check (list string)) "scheme columns" six Instances.schemes_order
+
+let test_unknown_scheme () =
+  match Schemes.find "HQ" with
+  | _ -> Alcotest.fail "an unknown scheme resolved"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "error lists the valid names"
+        "unknown scheme \"HQ\" (valid: NR, EBR, PEBR, HP, HP++, RC)" msg
+
 let () =
   Alcotest.run "harness"
     [
@@ -128,4 +163,9 @@ let () =
           case "metric_of_name rejects unknown" test_metric_of_name_unknown;
         ] );
       ("collector", [ case "rows serialize to JSON" test_collector_rows ]);
+      ( "registry",
+        [
+          case "instance matrix cells and order" test_instance_matrix;
+          case "unknown scheme lists valid names" test_unknown_scheme;
+        ] );
     ]
