@@ -8,12 +8,13 @@
    exposition to disk).
 
    A recorded trace is replay-checked in-process before exit; protocol
-   violations fail the soak. In chaos mode only the four scheme-defining
-   pairs run (hmlist/HP, hhslist/{HP++,EBR,PEBR}) — each once inline and
-   once with the asynchronous reclamation pipeline on, where the plan may
-   also stall or kill the background collector domain — every round ends
-   with crash recovery and a structural UAF sweep, and the same SEED
-   replays the same plans. *)
+   violations fail the soak. In chaos mode every reclaiming scheme of the
+   registry runs on its list (hhslist, or hmlist where it cannot protect
+   optimistic traversal) and on hashmap — each once inline and once with
+   the asynchronous reclamation pipeline on, where the plan may also stall
+   or kill the background collector domain — every round ends with crash
+   recovery and a structural UAF sweep, and the same SEED replays the same
+   plans. *)
 
 module Pool = Smr_core.Domain_pool
 module Rng = Smr_core.Rng
@@ -218,36 +219,73 @@ struct
       !domains
 end
 
+(* Every reclaiming scheme of the registry, on its list (HHSList when it
+   can protect optimistic traversal, HMList otherwise) and on HashMap; each
+   pair once inline and once with the asynchronous pipeline, whose plans
+   may also stall or kill the collector. *)
+module Chaos_scheme (S : Smr.Smr_intf.S) = struct
+  module Hm = Smr_ds.Hmlist.Make (S)
+  module Hhs = Smr_ds.Hhslist.Make (S)
+  module Map = Smr_ds.Hashmap.Make (S)
+
+  (* Whether the structures' operations reach [point] under [S]: a one-shot
+     kill probe on a throwaway map with small thresholds. *)
+  let reaches point =
+    Fault.reset ();
+    let config =
+      {
+        Smr.Smr_intf.default_config with
+        reclaim_threshold = 8;
+        invalidate_threshold = 2;
+      }
+    in
+    let scheme = S.create ~config () in
+    let t = Map.create scheme in
+    let lo = Map.make_local (S.register scheme) in
+    Fault.arm ~point ~action:Fault.Kill ();
+    (try
+       for k = 0 to 63 do
+         ignore (Map.insert t lo k k);
+         ignore (Map.remove t lo k)
+       done
+     with Fault.Killed _ -> ());
+    let hit = Fault.fired () in
+    Fault.reset ();
+    hit
+
+  (* A scheme that never reaches [Reclaim] (NR) has no recovery to test. *)
+  let run ~seed ~salt =
+    let points =
+      List.filter reaches
+        [ Fault.Retire; Fault.Protect; Fault.Unlink; Fault.Crit; Fault.Reclaim ]
+    in
+    if List.mem Fault.Reclaim points then begin
+      let async = { Smr.Smr_intf.default_config with async_reclaim = true } in
+      let async_points = points @ [ Fault.Collector ] in
+      let on_list ?config name ~salt ~points =
+        if S.supports_optimistic then
+          let module C = Chaos_drive (S) (Hhs) in
+          C.run ?config ("hhslist/" ^ name) ~seed ~salt ~points
+        else
+          let module C = Chaos_drive (S) (Hm) in
+          C.run ?config ("hmlist/" ^ name) ~seed ~salt ~points
+      in
+      let module M = Chaos_drive (S) (Map) in
+      on_list S.name ~salt ~points;
+      M.run ("hashmap/" ^ S.name) ~seed ~salt:(salt + 1) ~points;
+      on_list ~config:async (S.name ^ "+async") ~salt:(salt + 2)
+        ~points:async_points;
+      M.run ~config:async ("hashmap/" ^ S.name ^ "+async") ~seed
+        ~salt:(salt + 3) ~points:async_points
+    end
+end
+
 let run_chaos seed =
-  let module C1 = Chaos_drive (Hp) (Smr_ds.Hmlist.Make (Hp)) in
-  C1.run "hmlist/HP" ~seed ~salt:1
-    ~points:[ Fault.Retire; Fault.Protect; Fault.Reclaim ];
-  let module C2 = Chaos_drive (Hp_plus) (Smr_ds.Hhslist.Make (Hp_plus)) in
-  C2.run "hhslist/HP++" ~seed ~salt:2
-    ~points:[ Fault.Retire; Fault.Protect; Fault.Unlink; Fault.Reclaim ];
-  let module C3 = Chaos_drive (Ebr) (Smr_ds.Hhslist.Make (Ebr)) in
-  C3.run "hhslist/EBR" ~seed ~salt:3
-    ~points:[ Fault.Retire; Fault.Crit; Fault.Reclaim ];
-  let module C4 = Chaos_drive (Pebr) (Smr_ds.Hhslist.Make (Pebr)) in
-  C4.run "hhslist/PEBR" ~seed ~salt:4
-    ~points:[ Fault.Retire; Fault.Protect; Fault.Crit; Fault.Reclaim ];
-  (* Asynchronous-pipeline rounds: same pairs with the background collector
-     on and [Fault.Collector] in the point set, so seeded plans also stall
-     the collector mid-pipeline (the ring fills, mutators fall back inline)
-     or kill its domain outright (queued bags must be salvaged on
-     shutdown). The residue bound at the end of each round is the same. *)
-  let async = { Smr.Smr_intf.default_config with async_reclaim = true } in
-  C1.run "hmlist/HP+async" ~config:async ~seed ~salt:5
-    ~points:[ Fault.Retire; Fault.Protect; Fault.Reclaim; Fault.Collector ];
-  let module C5 = Chaos_drive (Hp_plus) (Smr_ds.Hhslist.Make (Hp_plus)) in
-  C5.run "hhslist/HP+++async" ~config:async ~seed ~salt:6
-    ~points:[ Fault.Retire; Fault.Unlink; Fault.Reclaim; Fault.Collector ];
-  let module C6 = Chaos_drive (Ebr) (Smr_ds.Hhslist.Make (Ebr)) in
-  C6.run "hhslist/EBR+async" ~config:async ~seed ~salt:7
-    ~points:[ Fault.Retire; Fault.Crit; Fault.Collector ];
-  let module C7 = Chaos_drive (Pebr) (Smr_ds.Hhslist.Make (Pebr)) in
-  C7.run "hhslist/PEBR+async" ~config:async ~seed ~salt:8
-    ~points:[ Fault.Retire; Fault.Crit; Fault.Reclaim; Fault.Collector ]
+  List.iteri
+    (fun i (module S : Smr.Smr_intf.S) ->
+      let module C = Chaos_scheme (S) in
+      C.run ~seed ~salt:(4 * i))
+    Schemes.all
 
 let run_standard () =
   let module M1 = Drive (Hp) (Smr_ds.Hmlist.Make (Hp)) in

@@ -742,68 +742,17 @@ and last_positional_objs_dyn ctx env args =
   ignore ctx;
   last_positional_objs env args
 
-(* Match: the try_protect outcome gets its builtin refinement (the [Ok]
-   case validates the expected argument and binds a validated alias);
-   pending booleans branch like conditions; everything else is a plain
-   value match with per-case binding. *)
+(* Match: pending booleans branch like conditions; everything else is a
+   plain value match with per-case binding. *)
 and eval_match ctx env ~loc scrut cases =
   ignore loc;
   let special =
     match scrut.pexp_desc with
-    | Pexp_apply (f, args) -> (
-        match head_name f with
-        | Some (_, "try_protect") -> Some (`Try_protect args)
-        | _ -> None)
     | Pexp_ident { txt = Longident.Lident x; _ } when SMap.mem x env.pend ->
         Some (`Pending (SMap.find x env.pend))
     | _ -> None
   in
   match special with
-  | Some (`Try_protect args) ->
-      (* evaluate arguments (their derefs count), protect the expected
-         target, then branch per case *)
-      let env =
-        List.fold_left
-          (fun env (_, a) ->
-            let _, env = eval ctx env a in
-            env)
-          env args
-      in
-      let expected = last_positional_objs env args in
-      if expected <> oempty then
-        emit ctx (Protect expected);
-      ctx.fn.fn_sync <- true;
-      let before = ctx.cur in
-      let jn = new_node ctx env in
-      let v =
-        List.fold_left
-          (fun acc c ->
-            let cn = new_node ctx env in
-            link ctx before cn;
-            ctx.cur <- cn;
-            let is_ok =
-              match c.pc_lhs.ppat_desc with
-              | Ppat_construct ({ txt; _ }, _) -> (
-                  match List.rev (Rules.lident_parts txt) with
-                  | "Ok" :: _ -> true
-                  | _ -> false)
-              | _ -> false
-            in
-            let env_c =
-              if is_ok then begin
-                emit ctx (Set_state (expected, Lattice.Validated));
-                let o = fresh_tracked ctx Lattice.Validated in
-                bind_pattern env c.pc_lhs (vof (ounion expected (osingle o)))
-              end
-              else bind_pattern env c.pc_lhs vnone
-            in
-            let cv, _ = eval ctx env_c c.pc_rhs in
-            link ctx ctx.cur jn;
-            vjoin acc cv)
-          vnone cases
-      in
-      ctx.cur <- jn;
-      (v, env)
   | Some (`Pending p) ->
       let before = ctx.cur in
       let jn = new_node ctx env in
@@ -957,10 +906,18 @@ and eval_apply ctx env ~loc f args =
       emit ctx (Protect (last_positional vals));
       (vnone, env)
   | Some (_, "try_protect") ->
+      (* protect the expected target; a failed validation raises Restart
+         from the announcing node (which a try body edges to its handler),
+         so a normal return means the expected argument is Validated, and
+         so is the returned record *)
       let vals, env = eval_args ctx env args in
       ctx.fn.fn_sync <- true;
-      emit ctx (Protect (last_positional vals));
-      (vof (osingle (fresh_tracked ctx Lattice.Protected)), env)
+      let expected = last_positional vals in
+      emit ctx (Protect expected);
+      advance ctx env;
+      emit ctx (Set_state (expected, Lattice.Validated));
+      let o = fresh_tracked ctx Lattice.Validated in
+      (vof (ounion expected (osingle o)), env)
   | Some (_, "protection_valid") ->
       let _, env = eval_args ctx env args in
       (vnone, env)
@@ -1111,8 +1068,9 @@ and eval_higher_order ctx env ~loc args =
     args;
   (vof !coll, env)
 
-(* with_crit handle stats (fun () -> body): enter, loop the body (the
-   [`Retry]/[`Prot] arms refresh and go round), demote on exit. *)
+(* with_crit handle stats (fun () -> body): enter, loop the body (a
+   Restart or Contended raised in it refreshes and goes round), demote on
+   exit. *)
 and eval_with_crit ctx env ~loc args =
   ignore loc;
   ctx.fn.fn_sync <- true;
@@ -1310,55 +1268,7 @@ and build_tail ctx env e =
       link ctx ctx.cur ctx.fn.fn_exit
 
 and build_tail_match ctx env scrut cases =
-  let is_try_protect =
-    match scrut.pexp_desc with
-    | Pexp_apply (f, _) -> (
-        match head_name f with
-        | Some (_, "try_protect") -> true
-        | _ -> false)
-    | _ -> false
-  in
   match scrut.pexp_desc with
-  | Pexp_apply (_, args) when is_try_protect ->
-      (* same builtin refinement as eval_match's try_protect case, but each
-         case body builds in tail so its return site keeps per-slot shape
-         (a search loop's `Ok` arm returning a validated cursor must not
-         join with the `Invalid` arm) *)
-      let env =
-        List.fold_left
-          (fun env (_, a) ->
-            let _, env = eval ctx env a in
-            env)
-          env args
-      in
-      let expected = last_positional_objs env args in
-      if expected <> oempty then
-        emit ctx (Protect expected);
-      ctx.fn.fn_sync <- true;
-      let before = ctx.cur in
-      List.iter
-        (fun c ->
-          let cn = new_node ctx env in
-          link ctx before cn;
-          ctx.cur <- cn;
-          let is_ok =
-            match c.pc_lhs.ppat_desc with
-            | Ppat_construct ({ txt; _ }, _) -> (
-                match List.rev (Rules.lident_parts txt) with
-                | "Ok" :: _ -> true
-                | _ -> false)
-            | _ -> false
-          in
-          let env_c =
-            if is_ok then begin
-              emit ctx (Set_state (expected, Lattice.Validated));
-              let o = fresh_tracked ctx Lattice.Validated in
-              bind_pattern env c.pc_lhs (vof (ounion expected (osingle o)))
-            end
-            else bind_pattern env c.pc_lhs vnone
-          in
-          build_tail ctx env_c c.pc_rhs)
-        cases
   | Pexp_ident { txt = Longident.Lident x; _ } when SMap.mem x env.pend ->
       let p = SMap.find x env.pend in
       let before = ctx.cur in

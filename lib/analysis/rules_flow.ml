@@ -259,8 +259,8 @@ let check_file ~file ~checks ~ext ast =
                               (Printf.sprintf
                                  "`%s` dereferences `%s` while it is still \
                                   raw on some path from the shared read: \
-                                  validation (try_protect Ok / \
-                                  protect_pessimistic true) must dominate \
+                                  validation (a returning try_protect \
+                                  or protect_pessimistic true) must dominate \
                                   every field access"
                                  fname hint)
                         | Lattice.Protected when checks.c_deref ->

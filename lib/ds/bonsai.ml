@@ -48,8 +48,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     mutable upd_used : S.guard list;
   }
 
-  exception Restart
-
   let create scheme = { scheme; root = Link.null () }
   let scheme t = t.scheme
   let stats t = S.stats t.scheme
@@ -109,8 +107,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.needs_protection then begin
       let g = take_guard l in
       S.protect g n.hdr;
-      if not (S.protection_valid l.handle) then raise Restart;
-      if not (Link.get t.root == ctx.root_rec) then raise Restart
+      if not (S.protection_valid l.handle) then raise_notrace C.Restart;
+      if not (Link.get t.root == ctx.root_rec) then raise_notrace C.Restart
     end;
     Mem.check_access n.hdr
 
@@ -202,9 +200,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     end
     else node ~key ~value ~left ~right
 
-  (* One attempted update: [rebuild] maps the protected old tree to a new
-     tree (or None when the operation is a no-op). Raises [Restart] when a
-     protection fails mid-read. *)
+  (* Run an update until it commits: [rebuild] maps the protected old tree
+     to a new tree (or None when the operation is a no-op). An attempt
+     raises [C.Restart] when a protection fails mid-read and [C.Contended]
+     when its root CAS loses. *)
   let update t l ~noop (rebuild : 'v ctx -> is_old:('v node -> bool) -> 'v node Tagged.t -> ('v node option * 'a) option) =
     let attempt () =
       reset_guards l;
@@ -222,7 +221,7 @@ module Make (S : Smr.Smr_intf.S) = struct
          is short (O(log n)), so membership by physical scan is fine. *)
       let is_old n = not (List.memq n ctx.created) in
       match rebuild ctx ~is_old root_rec with
-      | None -> `Done_noop
+      | None -> noop
       | Some (new_root, result) ->
           let desired = Tagged.make new_root in
           (* The unlink frontier: children of replaced nodes that survive
@@ -285,19 +284,14 @@ module Make (S : Smr.Smr_intf.S) = struct
                         [ n.left; n.right ]))
                 ctx.replaced
             end;
-            `Committed result
+            result
           end
           else begin
             List.iter (fun _ -> Stats.on_discard (stats t)) ctx.created;
-            `Lost
+            raise_notrace C.Contended
           end
     in
-    C.with_crit l.handle (stats t) (fun () ->
-        match attempt () with
-        | `Committed result -> `Done result
-        | `Done_noop -> `Done noop
-        | `Lost -> `Retry
-        | exception Restart -> `Prot)
+    C.with_crit l.handle (stats t) (fun () -> attempt ())
 
   (* --- operations -------------------------------------------------------- *)
 
@@ -404,13 +398,13 @@ module Make (S : Smr.Smr_intf.S) = struct
   let protect_read t l ~root_rec ~parent n =
     if S.needs_protection then begin
       S.protect l.hp_child n.hdr;
-      if not (S.protection_valid l.handle) then raise Restart;
+      if not (S.protection_valid l.handle) then raise_notrace C.Restart;
       if S.supports_optimistic then begin
         match parent with
-        | Some p -> if Atomic.get p.invalid then raise Restart
-        | None -> if Atomic.get n.invalid then raise Restart
+        | Some p -> if Atomic.get p.invalid then raise_notrace C.Restart
+        | None -> if Atomic.get n.invalid then raise_notrace C.Restart
       end
-      else if not (Link.get t.root == root_rec) then raise Restart
+      else if not (Link.get t.root == root_rec) then raise_notrace C.Restart
     end;
     Mem.check_access n.hdr
 
@@ -418,17 +412,15 @@ module Make (S : Smr.Smr_intf.S) = struct
     C.with_crit l.handle (stats t) (fun () ->
         let root_rec = Link.get t.root in
         let rec go parent = function
-          | None -> `Done None
+          | None -> None
           | Some n ->
               protect_read t l ~root_rec ~parent n;
               swap_read_guards l;
-              if key = n.key then `Done (Some n.value)
+              if key = n.key then Some n.value
               else if key < n.key then go (Some n) n.left
               else go (Some n) n.right
         in
-        match go None (Tagged.ptr root_rec) with
-        | r -> r
-        | exception Restart -> `Prot)
+        go None (Tagged.ptr root_rec))
 
   (* Long-running snapshot read: fold over every binding reachable from one
      root read. Under EBR-family schemes this pins an epoch for the whole
@@ -449,15 +441,13 @@ module Make (S : Smr.Smr_intf.S) = struct
               let acc = f acc n.key n.value in
               go (Some n) acc n.right
         in
-        match
-          let acc = go None init (Tagged.ptr root_rec) in
-          reset_guards l;
-          acc
-        with
-        | acc -> `Done acc
-        | exception Restart ->
+        match go None init (Tagged.ptr root_rec) with
+        | acc ->
             reset_guards l;
-            `Prot)
+            acc
+        | exception C.Restart ->
+            reset_guards l;
+            raise_notrace C.Restart)
 
   (* Quiescent helpers. *)
 

@@ -152,28 +152,31 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let child_link n key = if key < n.key then n.left else n.right
 
-  (* Protect the target of [src_link]. Optimistic schemes use HP++
-     TryProtect; HP validates with the over-approximation "the link is
-     unchanged and the source is not marked for splicing" (a marked source
-     is about to be spliced out together with one child). *)
+  (* Protect the target of [src_link], returning the validated record or
+     raising [C.Restart]. Optimistic schemes use HP++ TryProtect; HP
+     validates with the over-approximation "the link is unchanged and the
+     source is not marked for splicing" (a marked source is about to be
+     spliced out together with one child). *)
   let protect_step l ~src ~src_link expected =
     if S.supports_optimistic then
-      match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link expected
-      with
-      | C.Invalid -> None
-      | C.Ok r -> Some r
+      C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle ~src_link
+        expected
     else begin
       (match Tagged.ptr expected with
       | Some n -> S.protect l.hp_cur n.hdr
       | None -> ());
-      if not (S.protection_valid l.handle) then None
-      else if
-        Tagged.same_ptr (Link.get src_link) expected
+      if
+        S.protection_valid l.handle
+        && Tagged.same_ptr (Link.get src_link) expected
         && (Atomic.get src.update).state <> Mark
-      then Some expected
-      else None
+      then expected
+      else raise_notrace C.Restart
     end
+
+  (* The target of a validated edge; a null edge means a concurrent splice
+     moved under us. *)
+  let target r =
+    match Tagged.ptr r with Some n -> n | None -> raise_notrace C.Contended
 
   let invalidate_nodes nodes =
     List.iter
@@ -250,158 +253,133 @@ module Make (S : Smr.Smr_intf.S) = struct
     let r = t.root in
     let r_up = Atomic.get r.update in
     let r_rec = Link.get (child_link r key) in
-    match protect_step l ~src:r ~src_link:(child_link r key) r_rec with
-    | None -> `Prot
-    | Some r_rec -> (
-        match Tagged.ptr r_rec with
-        | None -> `Retry
-        | Some s ->
-            S.protect l.hp_p s.hdr;
-            let rec walk gp p gpupdate pupdate p_rec p_link cur cur_rec
-                cur_link =
-              (* [cur] protected by hp_cur/hp_l rotation *)
-              if cur.kind = Leaf then
-                `Done
-                  {
-                    s_gp = gp;
-                    s_p = p;
-                    s_l = cur;
-                    s_gpupdate = gpupdate;
-                    s_pupdate = pupdate;
-                    s_p_rec = p_rec;
-                    s_p_link = p_link;
-                    s_l_rec = cur_rec;
-                    s_l_link = cur_link;
-                  }
-              else
-                let up = Atomic.get cur.update in
-                let link = child_link cur key in
-                let rec0 = Link.get link in
-                match protect_step l ~src:cur ~src_link:link rec0 with
-                | None -> `Prot
-                | Some next_rec -> (
-                    match Tagged.ptr next_rec with
-                    | None -> `Retry
-                    | Some next ->
-                        Mem.check_access next.hdr;
-                        (* roles shift: gp <- p, p <- cur, l <- next *)
-                        S.protect l.hp_gp p.hdr;
-                        S.protect l.hp_p cur.hdr;
-                        let g = l.hp_l in
-                        l.hp_l <- l.hp_cur;
-                        l.hp_cur <- g;
-                        walk p cur pupdate up cur_rec cur_link next next_rec
-                          link)
-            in
-            let s_up = Atomic.get s.update in
-            let link = child_link s key in
-            let rec0 = Link.get link in
-            (match protect_step l ~src:s ~src_link:link rec0 with
-            | None -> `Prot
-            | Some first_rec -> (
-                match Tagged.ptr first_rec with
-                | None -> `Retry
-                | Some first ->
-                    Mem.check_access first.hdr;
-                    let g = l.hp_l in
-                    l.hp_l <- l.hp_cur;
-                    l.hp_cur <- g;
-                    S.protect l.hp_gp r.hdr;
-                    S.protect l.hp_p s.hdr;
-                    walk r s r_up s_up r_rec (child_link r key) first
-                      first_rec link)))
+    let r_rec = protect_step l ~src:r ~src_link:(child_link r key) r_rec in
+    let s = target r_rec in
+    S.protect l.hp_p s.hdr;
+    let rec walk gp p gpupdate pupdate p_rec p_link cur cur_rec cur_link =
+      (* [cur] protected by hp_cur/hp_l rotation *)
+      if cur.kind = Leaf then
+        {
+          s_gp = gp;
+          s_p = p;
+          s_l = cur;
+          s_gpupdate = gpupdate;
+          s_pupdate = pupdate;
+          s_p_rec = p_rec;
+          s_p_link = p_link;
+          s_l_rec = cur_rec;
+          s_l_link = cur_link;
+        }
+      else
+        let up = Atomic.get cur.update in
+        let link = child_link cur key in
+        let next_rec = protect_step l ~src:cur ~src_link:link (Link.get link) in
+        let next = target next_rec in
+        Mem.check_access next.hdr;
+        (* roles shift: gp <- p, p <- cur, l <- next *)
+        S.protect l.hp_gp p.hdr;
+        S.protect l.hp_p cur.hdr;
+        let g = l.hp_l in
+        l.hp_l <- l.hp_cur;
+        l.hp_cur <- g;
+        walk p cur pupdate up cur_rec cur_link next next_rec link
+    in
+    let s_up = Atomic.get s.update in
+    let link = child_link s key in
+    let first_rec = protect_step l ~src:s ~src_link:link (Link.get link) in
+    let first = target first_rec in
+    Mem.check_access first.hdr;
+    let g = l.hp_l in
+    l.hp_l <- l.hp_cur;
+    l.hp_cur <- g;
+    S.protect l.hp_gp r.hdr;
+    S.protect l.hp_p s.hdr;
+    walk r s r_up s_up r_rec (child_link r key) first first_rec link
 
   let get t l key =
     if key >= inf1 then invalid_arg "Efrbtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
-        match search t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done sr ->
-            if sr.s_l.key = key then `Done sr.s_l.value else `Done None)
+        let sr = search t l key in
+        if sr.s_l.key = key then sr.s_l.value else None)
 
   let insert t l key value =
     if key >= inf1 then invalid_arg "Efrbtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
-        match search t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done sr ->
-            if sr.s_l.key = key then `Done false
-            else if sr.s_pupdate.state <> Clean then begin
-              help l sr.s_pupdate;
-              `Retry
-            end
-            else begin
-              let st = stats t in
-              let leaf = sr.s_l in
-              let new_leaf =
-                mk_node st ~key ~value:(Some value) ~kind:Leaf
-                  ~left:Tagged.null ~right:Tagged.null
-              in
-              let lo_leaf, hi_leaf =
-                if key < leaf.key then (new_leaf, leaf) else (leaf, new_leaf)
-              in
-              let internal =
-                mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
-                  ~left:(Tagged.make (Some lo_leaf))
-                  ~right:(Tagged.make (Some hi_leaf))
-              in
-              let op =
-                {
-                  i_p = sr.s_p;
-                  i_l_rec = sr.s_l_rec;
-                  i_l_link = sr.s_l_link;
-                  i_new_internal = internal;
-                }
-              in
-              let iflag_rec = { state = IFlag; info = Some (I op); gen = 0 } in
-              if Atomic.compare_and_set sr.s_p.update sr.s_pupdate iflag_rec
-              then begin
-                help_insert op iflag_rec;
-                `Done true
-              end
-              else begin
-                Stats.on_discard st;
-                Stats.on_discard st;
-                help l (Atomic.get sr.s_p.update);
-                `Retry
-              end
-            end)
+        let sr = search t l key in
+        if sr.s_l.key = key then false
+        else if sr.s_pupdate.state <> Clean then begin
+          help l sr.s_pupdate;
+          raise_notrace C.Contended
+        end
+        else begin
+          let st = stats t in
+          let leaf = sr.s_l in
+          let new_leaf =
+            mk_node st ~key ~value:(Some value) ~kind:Leaf ~left:Tagged.null
+              ~right:Tagged.null
+          in
+          let lo_leaf, hi_leaf =
+            if key < leaf.key then (new_leaf, leaf) else (leaf, new_leaf)
+          in
+          let internal =
+            mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
+              ~left:(Tagged.make (Some lo_leaf))
+              ~right:(Tagged.make (Some hi_leaf))
+          in
+          let op =
+            {
+              i_p = sr.s_p;
+              i_l_rec = sr.s_l_rec;
+              i_l_link = sr.s_l_link;
+              i_new_internal = internal;
+            }
+          in
+          let iflag_rec = { state = IFlag; info = Some (I op); gen = 0 } in
+          if Atomic.compare_and_set sr.s_p.update sr.s_pupdate iflag_rec then begin
+            help_insert op iflag_rec;
+            true
+          end
+          else begin
+            Stats.on_discard st;
+            Stats.on_discard st;
+            help l (Atomic.get sr.s_p.update);
+            raise_notrace C.Contended
+          end
+        end)
 
   let remove t l key =
     if key >= inf1 then invalid_arg "Efrbtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
-        match search t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done sr ->
-            if sr.s_l.key <> key then `Done false
-            else if sr.s_gpupdate.state <> Clean then begin
-              help l sr.s_gpupdate;
-              `Retry
-            end
-            else if sr.s_pupdate.state <> Clean then begin
-              help l sr.s_pupdate;
-              `Retry
-            end
-            else begin
-              let op =
-                {
-                  d_gp = sr.s_gp;
-                  d_p = sr.s_p;
-                  d_l = sr.s_l;
-                  d_pupdate = sr.s_pupdate;
-                  d_gp_rec = sr.s_p_rec;
-                  d_gp_link = sr.s_p_link;
-                }
-              in
-              let dflag_rec = { state = DFlag; info = Some (D op); gen = 0 } in
-              if Atomic.compare_and_set sr.s_gp.update sr.s_gpupdate dflag_rec
-              then
-                if help_delete l op dflag_rec then `Done true else `Retry
-              else begin
-                help l (Atomic.get sr.s_gp.update);
-                `Retry
-              end
-            end)
+        let sr = search t l key in
+        if sr.s_l.key <> key then false
+        else if sr.s_gpupdate.state <> Clean then begin
+          help l sr.s_gpupdate;
+          raise_notrace C.Contended
+        end
+        else if sr.s_pupdate.state <> Clean then begin
+          help l sr.s_pupdate;
+          raise_notrace C.Contended
+        end
+        else begin
+          let op =
+            {
+              d_gp = sr.s_gp;
+              d_p = sr.s_p;
+              d_l = sr.s_l;
+              d_pupdate = sr.s_pupdate;
+              d_gp_rec = sr.s_p_rec;
+              d_gp_link = sr.s_p_link;
+            }
+          in
+          let dflag_rec = { state = DFlag; info = Some (D op); gen = 0 } in
+          if not (Atomic.compare_and_set sr.s_gp.update sr.s_gpupdate dflag_rec)
+          then begin
+            help l (Atomic.get sr.s_gp.update);
+            raise_notrace C.Contended
+          end
+          else if help_delete l op dflag_rec then true
+          else raise_notrace C.Contended
+        end)
 
   (* Quiescent helpers. *)
 

@@ -11,36 +11,6 @@ module Stats = Smr_core.Stats
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      module C :
-        sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
-          val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
-          val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
       val inf1 : int
       val inf2 : int
       type kind = Leaf | Internal
@@ -111,15 +81,14 @@ module Make :
         src:'a node ->
         src_link:'b node Ds_common.Link.t ->
         'b node Ds_common.Tagged.t ->
-        'b node Ds_common.Tagged.t option
+        'b node Ds_common.Tagged.t
+      val target : 'a Tagged.t -> 'a
       val invalidate_nodes : 'a node list -> unit
       val help_insert : 'v iinfo -> 'v update -> unit
       val help_marked : local -> 'v dinfo -> 'v update -> unit
       val help_delete : local -> 'v dinfo -> 'v update -> bool
       val help : local -> 'v update -> unit
-      val search :
-        'a t ->
-        local -> int -> [> `Done of 'a search_result | `Prot | `Retry ]
+      val search : 'a t -> local -> int -> 'a search_result
       val get : 'a t -> local -> int -> 'a option
       val insert : 'a t -> local -> int -> 'a -> bool
       val remove : 'a t -> local -> int -> bool

@@ -102,178 +102,152 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let invalidate_node n = Link.mark_invalid n.next
 
-  (* Paper Algorithm 4 TrySearch. One attempt; [`Done (found, prev_link,
-     expected, cur)] leaves [prev_link] holding [expected] whose target is
-     [cur], the first non-deleted node with key >= [key]. *)
-  let search_attempt t l key =
-    let finish ~found prev_link cur_t cur_opt anchor =
-      match anchor with
-      | None -> (
-          match cur_opt with
-          | Some c when Tagged.is_deleted (Link.get c.next) -> `Retry
-          | _ -> `Done (found, prev_link, cur_t, cur_opt))
-      | Some a ->
-          let frontier =
-            match cur_opt with Some c -> [ c.hdr ] | None -> []
-          in
-          let desired = Tagged.make cur_opt in
-          let unlinked =
-            S.try_unlink l.handle ~frontier
-              ~do_unlink:(fun () ->
-                if Link.cas_clean a.a_link a.a_expected desired then
-                  Some (collect_chain a.a_first cur_opt)
-                else None)
-              ~node_header ~invalidate:(List.iter invalidate_node)
-          in
-          if not unlinked then `Retry
+  (* Paper Algorithm 4 TrySearch, continuation-passing: walk from
+     [prev_link] (inside node [src], {!Mem.phantom} at the head) through
+     logically deleted chains to the first non-deleted node with key >=
+     [key], unlink the chain passed on the way, and call [k t l key prev_link
+     cur_t arg] with [prev_link] holding [cur_t], whose target is that node.
+     [anchor] is the pending chain unlink, if any. Raises [C.Restart] on a
+     failed validation and [C.Contended] when the unlink lost a race. No
+     step allocates; only meeting a deleted chain does. *)
+  let rec search t l key src prev_link cur_t anchor k arg =
+    let cur_t =
+      C.try_protect ~src ~node_header l.hp_cur l.handle ~src_link:prev_link
+        cur_t
+    in
+    match Tagged.ptr cur_t with
+    | None -> finish t l key prev_link cur_t anchor k arg
+    | Some cur ->
+        Mem.check_access cur.hdr;
+        let next_t = Link.get cur.next in
+        if not (Tagged.is_deleted next_t) then
+          if cur.key >= key then finish t l key prev_link cur_t anchor k arg
           else begin
-            match cur_opt with
-            | Some c when Tagged.is_deleted (Link.get c.next) -> `Retry
-            | _ -> `Done (found, a.a_link, desired, cur_opt)
+            swap_prev_cur l;
+            search t l key cur.hdr cur.next next_t None k arg
           end
-    in
-    let rec loop prev_node prev_link cur_t anchor =
-      match
-        C.try_protect
-          ?src:(match prev_node with Some p -> Some p.hdr | None -> None)
-          ~node_header l.hp_cur l.handle ~src_link:prev_link cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          match Tagged.ptr cur_t with
-          | None -> finish ~found:false prev_link cur_t None anchor
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              let next_t = Link.get cur.next in
-              if not (Tagged.is_deleted next_t) then
-                if cur.key >= key then
-                  finish ~found:(cur.key = key) prev_link cur_t (Some cur)
-                    anchor
-                else begin
-                  swap_prev_cur l;
-                  loop (Some cur) cur.next next_t None
-                end
-              else begin
-                (* [cur] is logically deleted: optimistic traversal walks
-                   through it, remembering where the chain started. *)
-                let anchor =
-                  match anchor with
-                  | None ->
-                      swap_anchor_prev l;
-                      Some
-                        {
-                          a_link = prev_link;
-                          a_expected = cur_t;
-                          a_first = cur;
-                        }
-                  | Some a ->
-                      (match prev_node with
-                      | Some p when p == a.a_first -> swap_anchor_next_prev l
-                      | _ -> ());
-                      Some a
-                in
-                swap_prev_cur l;
-                loop (Some cur) cur.next next_t anchor
-              end)
-    in
-    loop None t.head (Link.get t.head) None
+        else begin
+          (* [cur] is logically deleted: optimistic traversal walks through
+             it, remembering where the chain started. *)
+          let anchor =
+            match anchor with
+            | None ->
+                swap_anchor_prev l;
+                Some { a_link = prev_link; a_expected = cur_t; a_first = cur }
+            | Some a ->
+                if src == a.a_first.hdr then swap_anchor_next_prev l;
+                anchor
+          in
+          swap_prev_cur l;
+          search t l key cur.hdr cur.next next_t anchor k arg
+        end
+
+  and finish t l key prev_link cur_t anchor k arg =
+    match anchor with
+    | None -> (
+        match Tagged.ptr cur_t with
+        | Some c when Tagged.is_deleted (Link.get c.next) ->
+            raise_notrace C.Contended
+        | _ -> k t l key prev_link cur_t arg)
+    | Some a -> (
+        let cur_opt = Tagged.ptr cur_t in
+        let frontier = match cur_opt with Some c -> [ c.hdr ] | None -> [] in
+        let desired = Tagged.make cur_opt in
+        let unlinked =
+          S.try_unlink l.handle ~frontier
+            ~do_unlink:(fun () ->
+              if Link.cas_clean a.a_link a.a_expected desired then
+                Some (collect_chain a.a_first cur_opt)
+              else None)
+            ~node_header ~invalidate:(List.iter invalidate_node)
+        in
+        if not unlinked then raise_notrace C.Contended;
+        match cur_opt with
+        | Some c when Tagged.is_deleted (Link.get c.next) ->
+            raise_notrace C.Contended
+        | _ -> k t l key a.a_link desired arg)
 
   (* Wait-free (under EBR/NR/RC; lock-free under HP++/PEBR) search that
      ignores logical deletion entirely and never writes. *)
+  let rec get_walk t l key src prev_link cur_t =
+    let cur_t =
+      C.try_protect ~src ~node_header l.hp_cur l.handle ~src_link:prev_link
+        cur_t
+    in
+    match Tagged.ptr cur_t with
+    | None -> None
+    | Some cur ->
+        Mem.check_access cur.hdr;
+        let next_t = Link.get cur.next in
+        if cur.key > key then None
+        else if cur.key = key then
+          if Tagged.is_deleted next_t then None else Some cur.value
+        else begin
+          swap_prev_cur l;
+          get_walk t l key cur.hdr cur.next next_t
+        end
+
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        let rec walk src prev_link cur_t =
-          match
-            C.try_protect ?src ~node_header l.hp_cur l.handle
-              ~src_link:prev_link cur_t
-          with
-          | C.Invalid -> `Prot
-          | C.Ok cur_t -> (
-              match Tagged.ptr cur_t with
-              | None -> `Done None
-              | Some cur ->
-                  Mem.check_access cur.hdr;
-                  let next_t = Link.get cur.next in
-                  if cur.key > key then `Done None
-                  else if cur.key = key then
-                    `Done
-                      (if Tagged.is_deleted next_t then None
-                       else Some cur.value)
-                  else begin
-                    swap_prev_cur l;
-                    walk (Some cur.hdr) cur.next next_t
-                  end)
+        get_walk t l key Mem.phantom t.head (Link.get t.head))
+
+  (* A node lost to a CAS race was never published: account for it as
+     discarded and go round with a fresh one. *)
+  let insert_at t _l key prev_link cur_t value =
+    let cur_opt = Tagged.ptr cur_t in
+    match cur_opt with
+    | Some cur when cur.key = key -> false
+    | _ ->
+        let node =
+          {
+            hdr = Mem.make (stats t);
+            key;
+            value;
+            next = Link.make (Tagged.make cur_opt);
+          }
         in
-        walk None t.head (Link.get t.head))
+        if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then true
+        else begin
+          Stats.on_discard (stats t);
+          raise_notrace C.Contended
+        end
+
+  let remove_at _t l key prev_link cur_t () =
+    match Tagged.ptr cur_t with
+    | Some cur when cur.key = key ->
+        let next_t = Link.get cur.next in
+        if
+          Tagged.is_deleted next_t
+          || not
+               (Link.cas_clean cur.next next_t
+                  (Tagged.set_bits next_t Tagged.deleted_bit))
+        then raise_notrace C.Contended;
+        (* Logically deleted (linearization point). Physical deletion must
+           go through TryUnlink so the frontier is protected and [cur]
+           invalidated before it is retired. *)
+        let frontier =
+          match Tagged.ptr next_t with Some n -> [ n.hdr ] | None -> []
+        in
+        ignore
+          (S.try_unlink l.handle ~frontier
+             ~do_unlink:(fun () ->
+               if
+                 Link.cas_clean prev_link cur_t
+                   (Tagged.make (Tagged.ptr next_t))
+               then Some [ cur ]
+               else None)
+             ~node_header ~invalidate:(List.iter invalidate_node));
+        true
+    | _ -> false
 
   let insert t l key value =
-    let fresh = ref None in
     C.with_crit l.handle (stats t) (fun () ->
-        match search_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, prev_link, cur_t, cur_opt) ->
-            if found then begin
-              (match !fresh with
-              | Some _ -> Stats.on_discard (stats t)
-              | None -> ());
-              `Done false
-            end
-            else
-              let node =
-                match !fresh with
-                | Some n -> n
-                | None ->
-                    let n =
-                      {
-                        hdr = Mem.make (stats t);
-                        key;
-                        value;
-                        next = Link.null ();
-                      }
-                    in
-                    fresh := Some n;
-                    n
-              in
-              Link.set node.next (Tagged.make cur_opt);
-              if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then
-                `Done true
-              else `Retry)
+        search t l key Mem.phantom t.head (Link.get t.head) None insert_at
+          value)
 
   let remove t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        match search_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, prev_link, cur_t, cur_opt) ->
-            if not found then `Done false
-            else
-              let cur = Option.get cur_opt in
-              let next_t = Link.get cur.next in
-              if Tagged.is_deleted next_t then `Retry
-              else if
-                not
-                  (Link.cas_clean cur.next next_t
-                     (Tagged.set_bits next_t Tagged.deleted_bit))
-              then `Retry
-              else begin
-                (* Logically deleted (linearization point). Physical
-                   deletion must go through TryUnlink so the frontier is
-                   protected and [cur] invalidated before it is retired. *)
-                let frontier =
-                  match Tagged.ptr next_t with
-                  | Some n -> [ n.hdr ]
-                  | None -> []
-                in
-                ignore
-                  (S.try_unlink l.handle ~frontier
-                     ~do_unlink:(fun () ->
-                       if
-                         Link.cas_clean prev_link cur_t
-                           (Tagged.make (Tagged.ptr next_t))
-                       then Some [ cur ]
-                       else None)
-                     ~node_header ~invalidate:(List.iter invalidate_node));
-                `Done true
-              end)
+        search t l key Mem.phantom t.head (Link.get t.head) None remove_at ())
 
   (* Quiescent helpers (single-threaded use only). *)
 

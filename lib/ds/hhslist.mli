@@ -11,36 +11,6 @@ module Stats = Smr_core.Stats
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      module C :
-        sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
-          val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
-          val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
       type 'v node = {
         hdr : Mem.header;
         key : int;
@@ -71,13 +41,6 @@ module Make :
       val swap_anchor_next_prev : local -> unit
       val collect_chain : 'a node -> 'a node option -> 'a node list
       val invalidate_node : 'a node -> unit
-      val search_attempt :
-        'a t ->
-        local ->
-        int ->
-        [> `Done of bool * 'a node Link.t * 'a node Tagged.t * 'a node option
-         | `Prot
-         | `Retry ]
       val get : 'a t -> local -> int -> 'a option
       val insert : 'a t -> local -> int -> 'a -> bool
       val remove : 'a t -> local -> int -> bool

@@ -47,108 +47,93 @@ module Make (S : Smr.Smr_intf.S) = struct
     l.hp_prev <- l.hp_cur;
     l.hp_cur <- p
 
-  (* One traversal attempt from the head. Returns [`Prot] on a failed
-     protection validation (restart from scratch), [`Retry] when a cleanup
-     CAS lost a race, or [`Done (found, prev_link, cur_t, cur)] positioned
-     at the first node with key >= [key] ([cur_t] is the current record of
-     [prev_link], the expected value for a subsequent CAS). *)
-  let find_attempt t l key =
-    let rec advance prev_link cur_t =
-      match Tagged.ptr cur_t with
-      | None -> `Done (false, prev_link, cur_t, None)
-      | Some cur ->
-          if
-            not
-              (C.protect_pessimistic ~node_header l.hp_cur l.handle
-                 ~src_link:prev_link cur_t)
-          then `Prot
-          else begin
-            Mem.check_access cur.hdr;
-            let next_t = Link.get cur.next in
-            if Tagged.is_deleted next_t then begin
-              (* [cur] is logically deleted: unlink it before moving on
-                 (the pessimism HP requires). *)
-              let desired = Tagged.make (Tagged.ptr next_t) in
-              if Link.cas_clean prev_link cur_t desired then begin
-                S.retire l.handle cur.hdr;
-                advance prev_link desired
-              end
-              else `Retry
-            end
-            else if cur.key >= key then
-              `Done (cur.key = key, prev_link, cur_t, Some cur)
-            else begin
-              swap_guards l;
-              advance cur.next next_t
-            end
-          end
-    in
-    advance t.head (Link.get t.head)
+  (* Walk from [prev_link] to the first node with key >= [key], unlinking
+     logically deleted nodes on the way, and call [k t l key prev_link cur_t
+     arg] there: [cur_t] is the current record of [prev_link] (the expected
+     value for a subsequent CAS) and its target the candidate node. Raises
+     [C.Restart] on a failed validation and [C.Contended] when a cleanup CAS
+     lost a race. Continuation-passing so that reaching the position
+     allocates nothing. *)
+  let rec find t l key prev_link cur_t k arg =
+    match Tagged.ptr cur_t with
+    | None -> k t l key prev_link cur_t arg
+    | Some cur ->
+        if
+          not
+            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_cur
+               l.handle ~src_link:prev_link cur_t)
+        then raise_notrace C.Restart;
+        Mem.check_access cur.hdr;
+        let next_t = Link.get cur.next in
+        if Tagged.is_deleted next_t then begin
+          (* [cur] is logically deleted: unlink it before moving on (the
+             pessimism HP requires). *)
+          let desired = Tagged.make (Tagged.ptr next_t) in
+          if not (Link.cas_clean prev_link cur_t desired) then
+            raise_notrace C.Contended;
+          S.retire l.handle cur.hdr;
+          find t l key prev_link desired k arg
+        end
+        else if cur.key >= key then k t l key prev_link cur_t arg
+        else begin
+          swap_guards l;
+          find t l key cur.next next_t k arg
+        end
+
+  let get_at _t _l key _prev_link cur_t () =
+    match Tagged.ptr cur_t with
+    | Some cur when cur.key = key -> Some cur.value
+    | _ -> None
+
+  (* A node lost to a CAS race was never published: account for it as
+     discarded and go round with a fresh one. *)
+  let insert_at t _l key prev_link cur_t value =
+    match Tagged.ptr cur_t with
+    | Some cur when cur.key = key -> false
+    | _ ->
+        let node =
+          {
+            hdr = Mem.make (stats t);
+            key;
+            value;
+            next = Link.make (Tagged.make (Tagged.ptr cur_t));
+          }
+        in
+        if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then true
+        else begin
+          Stats.on_discard (stats t);
+          raise_notrace C.Contended
+        end
+
+  let remove_at _t l key prev_link cur_t () =
+    match Tagged.ptr cur_t with
+    | Some cur when cur.key = key ->
+        let next_t = Link.get cur.next in
+        (* a deleted [next_t] means someone else won *)
+        if
+          Tagged.is_deleted next_t
+          || not
+               (Link.cas_clean cur.next next_t
+                  (Tagged.set_bits next_t Tagged.deleted_bit))
+        then raise_notrace C.Contended;
+        (* Logical deletion done; physically unlink if we can, else a later
+           traversal will. Only the unlinker retires. *)
+        if Link.cas_clean prev_link cur_t (Tagged.make (Tagged.ptr next_t))
+        then S.retire l.handle cur.hdr;
+        true
+    | _ -> false
 
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        match find_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, _, _, cur) ->
-            if found then `Done (Option.map (fun n -> n.value) cur)
-            else `Done None)
+        find t l key t.head (Link.get t.head) get_at ())
 
   let insert t l key value =
-    let fresh = ref None in
     C.with_crit l.handle (stats t) (fun () ->
-        match find_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, prev_link, cur_t, _) ->
-            if found then begin
-              (match !fresh with
-              | Some _ -> Stats.on_discard (stats t)
-              | None -> ());
-              `Done false
-            end
-            else
-              let node =
-                match !fresh with
-                | Some n -> n
-                | None ->
-                    let n =
-                      {
-                        hdr = Mem.make (stats t);
-                        key;
-                        value;
-                        next = Link.null ();
-                      }
-                    in
-                    fresh := Some n;
-                    n
-              in
-              Link.set node.next (Tagged.make (Tagged.ptr cur_t));
-              if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then
-                `Done true
-              else `Retry)
+        find t l key t.head (Link.get t.head) insert_at value)
 
   let remove t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        match find_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, prev_link, cur_t, cur) ->
-            if not found then `Done false
-            else
-              let cur = Option.get cur in
-              let next_t = Link.get cur.next in
-              if Tagged.is_deleted next_t then `Retry (* someone else won *)
-              else if
-                not
-                  (Link.cas_clean cur.next next_t
-                     (Tagged.set_bits next_t Tagged.deleted_bit))
-              then `Retry
-              else begin
-                (* Logical deletion done; physically unlink if we can, else
-                   a later traversal will. Only the unlinker retires. *)
-                let desired = Tagged.make (Tagged.ptr next_t) in
-                if Link.cas_clean prev_link cur_t desired then
-                  S.retire l.handle cur.hdr;
-                `Done true
-              end)
+        find t l key t.head (Link.get t.head) remove_at ())
 
   (* Quiescent helpers (single-threaded use only). *)
 

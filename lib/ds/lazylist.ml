@@ -76,35 +76,32 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Read phase: walk (through marked nodes) to the first node with
      key >= [key]. Protection is hand-over-hand HP++-style; the sentinel
-     needs no protection. Returns the predecessor and the candidate. *)
+     needs no protection. Returns the predecessor and the candidate, or
+     raises [C.Restart]. *)
   let walk t l key =
     let rec go prev cur_t =
-      match
-        C.try_protect ~node_header l.hp_cur l.handle
+      let cur_t =
+        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
           ~src_link:(pred_link t prev) cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          match Tagged.ptr cur_t with
-          | None -> `Done (prev, None)
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              if cur.key >= key then `Done (prev, Some cur)
-              else begin
-                swap_guards l;
-                go (Node cur) (Link.get cur.next)
-              end)
+      in
+      match Tagged.ptr cur_t with
+      | None -> (prev, None)
+      | Some cur ->
+          Mem.check_access cur.hdr;
+          if cur.key >= key then (prev, Some cur)
+          else begin
+            swap_guards l;
+            go (Node cur) (Link.get cur.next)
+          end
     in
     go Head (Link.get t.head_link)
 
   let contains t l key =
     C.with_crit l.handle (stats t) (fun () ->
         match walk t l key with
-        | `Prot -> `Prot
-        | `Done (_, Some cur) when cur.key = key ->
-            `Done
-              (if Atomic.get cur.marked then None else Some cur.value)
-        | `Done _ -> `Done None)
+        | _, Some cur when cur.key = key ->
+            if Atomic.get cur.marked then None else Some cur.value
+        | _ -> None)
 
   let get = contains
 
@@ -131,53 +128,39 @@ module Make (S : Smr.Smr_intf.S) = struct
     result
 
   let insert t l key value =
-    let fresh = ref None in
     C.with_crit l.handle (stats t) (fun () ->
         match walk t l key with
-        | `Prot -> `Prot
-        | `Done (pred, cur) -> (
-            match cur with
-            | Some c when c.key = key ->
-                (match !fresh with
-                | Some _ -> Stats.on_discard (stats t)
-                | None -> ());
-                `Done false
-            | _ -> (
-                let node =
-                  match !fresh with
-                  | Some n -> n
-                  | None ->
-                      let n =
-                        {
-                          hdr = Mem.make (stats t);
-                          key;
-                          value;
-                          next = Link.null ();
-                          marked = Atomic.make false;
-                          lock = Mutex.create ();
-                        }
-                      in
-                      fresh := Some n;
-                      n
-                in
-                match
-                  (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
-                  validated t ~pred ~cur (fun () ->
-                      Link.set node.next (Tagged.make cur);
-                      Link.set (pred_link t pred) (Tagged.make (Some node)))
-                with
-                | Some () -> `Done true
-                | None -> `Retry)))
+        | _, Some c when c.key = key -> false
+        | pred, cur -> (
+            let node =
+              {
+                hdr = Mem.make (stats t);
+                key;
+                value;
+                next = Link.make (Tagged.make cur);
+                marked = Atomic.make false;
+                lock = Mutex.create ();
+              }
+            in
+            match
+              (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
+              validated t ~pred ~cur (fun () ->
+                  Link.set (pred_link t pred) (Tagged.make (Some node)))
+            with
+            | Some () -> true
+            | None ->
+                (* never published: discarded, and a fresh one next time *)
+                Stats.on_discard (stats t);
+                raise_notrace C.Contended))
 
   let remove t l key =
     C.with_crit l.handle (stats t) (fun () ->
         match walk t l key with
-        | `Prot -> `Prot
-        | `Done (_, None) -> `Done false
-        | `Done (pred, Some cur) ->
-            if cur.key <> key then `Done false
-            else if Atomic.get cur.marked then `Done false
-            else (
+        | _, None -> false
+        | pred, Some cur -> (
+            if cur.key <> key then false
+            else if Atomic.get cur.marked then false
+            else
               match
                 (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
                 validated t ~pred ~cur:(Some cur) (fun () ->
@@ -202,8 +185,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                          ~invalidate:
                            (List.iter (fun n -> Link.mark_invalid n.next))))
               with
-              | Some () -> `Done true
-              | None -> `Retry))
+              | Some () -> true
+              | None -> raise_notrace C.Contended))
 
   (* Quiescent helpers. *)
 

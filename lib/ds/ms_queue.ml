@@ -40,28 +40,21 @@ module Make (S : Smr.Smr_intf.S) = struct
         let tl = Tagged.get_exn tail_t in
         if
           not
-            (C.protect_pessimistic ~node_header l.hp_head l.handle
-               ~src_link:t.tail tail_t)
-        then `Prot
-        else begin
-          Mem.check_access tl.hdr;
-          let next_t = Link.get tl.next in
-          match Tagged.ptr next_t with
-          | None ->
-              if Link.cas_clean tl.next next_t (Tagged.make (Some node))
-              then begin
-                (* Swing the tail; losing this CAS is fine (someone helped). *)
-                ignore
-                  (Link.cas_clean t.tail tail_t (Tagged.make (Some node)));
-                `Done ()
-              end
-              else `Retry
-          | Some _ ->
-              (* Tail lags behind: help advance it. *)
-              ignore
-                (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
-              `Retry
-        end)
+            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+               l.handle ~src_link:t.tail tail_t)
+        then raise_notrace C.Restart;
+        Mem.check_access tl.hdr;
+        let next_t = Link.get tl.next in
+        match Tagged.ptr next_t with
+        | None ->
+            if not (Link.cas_clean tl.next next_t (Tagged.make (Some node)))
+            then raise_notrace C.Contended;
+            (* Swing the tail; losing this CAS is fine (someone helped). *)
+            ignore (Link.cas_clean t.tail tail_t (Tagged.make (Some node)))
+        | Some _ ->
+            (* Tail lags behind: help advance it. *)
+            ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
+            raise_notrace C.Contended)
 
   let dequeue t l =
     C.with_crit l.handle (stats t) (fun () ->
@@ -69,40 +62,32 @@ module Make (S : Smr.Smr_intf.S) = struct
         let h = Tagged.get_exn head_t in
         if
           not
-            (C.protect_pessimistic ~node_header l.hp_head l.handle
-               ~src_link:t.head head_t)
-        then `Prot
-        else begin
-          Mem.check_access h.hdr;
-          let tail_t = Link.get t.tail in
-          let next_t = Link.get h.next in
-          match Tagged.ptr next_t with
-          | None -> `Done None
-          | Some n ->
-              if Tagged.same_ptr head_t tail_t then begin
-                (* Help the lagging tail past the dummy. *)
-                ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
-                `Retry
-              end
-              else begin
-                (* Protect [n], then validate: while [head] still holds [h],
-                   [n] cannot have been retired, so the protection is safe. *)
-                S.protect l.hp_next n.hdr;
-                if not (S.protection_valid l.handle) then `Prot
-                else if not (Tagged.same_ptr (Link.get t.head) head_t) then
-                  `Retry
-                else begin
-                  Mem.check_access n.hdr;
-                  let value = n.value in
-                  if Link.cas_clean t.head head_t (Tagged.untagged next_t)
-                  then begin
-                    S.retire l.handle h.hdr;
-                    `Done value
-                  end
-                  else `Retry
-                end
-              end
-        end)
+            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+               l.handle ~src_link:t.head head_t)
+        then raise_notrace C.Restart;
+        Mem.check_access h.hdr;
+        let tail_t = Link.get t.tail in
+        let next_t = Link.get h.next in
+        match Tagged.ptr next_t with
+        | None -> None
+        | Some n ->
+            if Tagged.same_ptr head_t tail_t then begin
+              (* Help the lagging tail past the dummy. *)
+              ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
+              raise_notrace C.Contended
+            end;
+            (* Protect [n], then validate: while [head] still holds [h], [n]
+               cannot have been retired, so the protection is safe. *)
+            S.protect l.hp_next n.hdr;
+            if not (S.protection_valid l.handle) then raise_notrace C.Restart;
+            if not (Tagged.same_ptr (Link.get t.head) head_t) then
+              raise_notrace C.Contended;
+            Mem.check_access n.hdr;
+            let value = n.value in
+            if not (Link.cas_clean t.head head_t (Tagged.untagged next_t)) then
+              raise_notrace C.Contended;
+            S.retire l.handle h.hdr;
+            value)
 
   (* Quiescent helpers. *)
 

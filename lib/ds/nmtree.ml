@@ -120,81 +120,67 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let child_link n key = if key < n.key then n.left else n.right
 
+  (* The target of a validated edge; a null edge means a concurrent splice
+     moved under us. *)
+  let target r =
+    match Tagged.ptr r with Some n -> n | None -> raise_notrace C.Contended
+
   (* Descend from the root, remembering the deepest edge that was untagged:
-     its source is the ancestor where a splice for [key]'s leaf must happen. *)
+     its source is the ancestor where a splice for [key]'s leaf must happen.
+     Raises [C.Restart] on a failed validation and [C.Contended] on a null
+     edge. *)
   let seek t l key =
     let protect_step src_link expected =
-      match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link expected
-      with
-      | C.Invalid -> None
-      | C.Ok r -> Some r
+      C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle ~src_link
+        expected
     in
     let r = t.root in
-    let r_rec = Link.get r.left in
-    match protect_step r.left r_rec with
-    | None -> `Prot
-    | Some r_rec -> (
-        match Tagged.ptr r_rec with
-        | None -> `Retry
-        | Some s ->
-            (* [s] protected by hp_cur; pin it under the successor role. *)
-            S.protect l.hp_successor s.hdr;
-            let s_rec = Link.get s.left in
-            (match protect_step s.left s_rec with
-            | None -> `Prot
-            | Some s_rec -> (
-                match Tagged.ptr s_rec with
-                | None -> `Retry
-                | Some first_leaf ->
-                    let rec walk ancestor ancestor_link ancestor_rec successor
-                        parent parent_link parent_rec leaf =
-                      if leaf.kind = Leaf then
-                        `Done
-                          {
-                            sr_ancestor = ancestor;
-                            sr_ancestor_link = ancestor_link;
-                            sr_ancestor_rec = ancestor_rec;
-                            sr_successor = successor;
-                            sr_parent = parent;
-                            sr_parent_link = parent_link;
-                            sr_parent_rec = parent_rec;
-                            sr_leaf = leaf;
-                          }
-                      else
-                        let link = child_link leaf key in
-                        match protect_step link (Link.get link) with
-                        | None -> `Prot
-                        | Some next_rec -> (
-                            match Tagged.ptr next_rec with
-                            | None -> `Retry
-                            | Some next ->
-                                Mem.check_access next.hdr;
-                                let anc, anc_link, anc_rec, succ =
-                                  if not (is_tagged parent_rec) then
-                                    (parent, parent_link, parent_rec, leaf)
-                                  else
-                                    (ancestor, ancestor_link, ancestor_rec,
-                                     successor)
-                                in
-                                (* Re-pin roles; every node pinned here is
-                                   currently protected by an older slot. *)
-                                S.protect l.hp_ancestor anc.hdr;
-                                S.protect l.hp_successor succ.hdr;
-                                S.protect l.hp_parent leaf.hdr;
-                                let g = l.hp_leaf in
-                                l.hp_leaf <- l.hp_cur;
-                                l.hp_cur <- g;
-                                walk anc anc_link anc_rec succ leaf link
-                                  next_rec next)
-                    in
-                    Mem.check_access first_leaf.hdr;
-                    let g = l.hp_leaf in
-                    l.hp_leaf <- l.hp_cur;
-                    l.hp_cur <- g;
-                    S.protect l.hp_ancestor r.hdr;
-                    S.protect l.hp_parent s.hdr;
-                    walk r r.left r_rec s s s.left s_rec first_leaf)))
+    let r_rec = protect_step r.left (Link.get r.left) in
+    let s = target r_rec in
+    (* [s] protected by hp_cur; pin it under the successor role. *)
+    S.protect l.hp_successor s.hdr;
+    let s_rec = protect_step s.left (Link.get s.left) in
+    let first_leaf = target s_rec in
+    let rec walk ancestor ancestor_link ancestor_rec successor parent
+        parent_link parent_rec leaf =
+      if leaf.kind = Leaf then
+        {
+          sr_ancestor = ancestor;
+          sr_ancestor_link = ancestor_link;
+          sr_ancestor_rec = ancestor_rec;
+          sr_successor = successor;
+          sr_parent = parent;
+          sr_parent_link = parent_link;
+          sr_parent_rec = parent_rec;
+          sr_leaf = leaf;
+        }
+      else
+        let link = child_link leaf key in
+        let next_rec = protect_step link (Link.get link) in
+        let next = target next_rec in
+        Mem.check_access next.hdr;
+        let anc, anc_link, anc_rec, succ =
+          if not (is_tagged parent_rec) then
+            (parent, parent_link, parent_rec, leaf)
+          else (ancestor, ancestor_link, ancestor_rec, successor)
+        in
+        (* Re-pin roles; every node pinned here is currently protected by an
+           older slot. *)
+        S.protect l.hp_ancestor anc.hdr;
+        S.protect l.hp_successor succ.hdr;
+        S.protect l.hp_parent leaf.hdr;
+        let g = l.hp_leaf in
+        l.hp_leaf <- l.hp_cur;
+        l.hp_cur <- g;
+        walk anc anc_link anc_rec succ leaf link next_rec next
+    in
+    Mem.check_access first_leaf.hdr;
+    let g = l.hp_leaf in
+    l.hp_leaf <- l.hp_cur;
+    l.hp_cur <- g;
+    S.protect l.hp_ancestor r.hdr;
+    S.protect l.hp_parent s.hdr;
+    walk r r.left r_rec s s s.left s_rec first_leaf
 
   let invalidate_nodes nodes =
     List.iter
@@ -253,96 +239,82 @@ module Make (S : Smr.Smr_intf.S) = struct
   let get t l key =
     if key >= inf1 then invalid_arg "Nmtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
-        match seek t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done sr ->
-            if sr.sr_leaf.key = key then `Done sr.sr_leaf.value else `Done None)
+        let sr = seek t l key in
+        if sr.sr_leaf.key = key then sr.sr_leaf.value else None)
 
   let insert t l key value =
     if key >= inf1 then invalid_arg "Nmtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
-        match seek t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done sr ->
-            let leaf = sr.sr_leaf in
-            if leaf.key = key then `Done false
-            else begin
-              Mem.check_access leaf.hdr;
-              let st = stats t in
-              let new_leaf =
-                mk_node st ~key ~value:(Some value) ~kind:Leaf
-                  ~left:Tagged.null ~right:Tagged.null
-              in
-              let lo_leaf, hi_leaf =
-                if key < leaf.key then (new_leaf, leaf) else (leaf, new_leaf)
-              in
-              let internal =
-                mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
-                  ~left:(Tagged.make (Some lo_leaf))
-                  ~right:(Tagged.make (Some hi_leaf))
-              in
-              if
-                Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
-                  (Tagged.make (Some internal))
-              then `Done true
-              else begin
-                (* Undo the accounting for the two discarded nodes and help
-                   a pending delete if that is what blocked us. *)
-                Stats.on_discard st;
-                Stats.on_discard st;
-                let r = Link.get sr.sr_parent_link in
-                (match Tagged.ptr r with
-                | Some n when n == leaf && is_flagged r ->
-                    ignore (cleanup l key sr)
-                | _ -> ());
-                `Retry
-              end
-            end)
+        let sr = seek t l key in
+        let leaf = sr.sr_leaf in
+        if leaf.key = key then false
+        else begin
+          Mem.check_access leaf.hdr;
+          let st = stats t in
+          let new_leaf =
+            mk_node st ~key ~value:(Some value) ~kind:Leaf ~left:Tagged.null
+              ~right:Tagged.null
+          in
+          let lo_leaf, hi_leaf =
+            if key < leaf.key then (new_leaf, leaf) else (leaf, new_leaf)
+          in
+          let internal =
+            mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
+              ~left:(Tagged.make (Some lo_leaf))
+              ~right:(Tagged.make (Some hi_leaf))
+          in
+          if
+            Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
+              (Tagged.make (Some internal))
+          then true
+          else begin
+            (* Undo the accounting for the two discarded nodes and help a
+               pending delete if that is what blocked us. *)
+            Stats.on_discard st;
+            Stats.on_discard st;
+            let r = Link.get sr.sr_parent_link in
+            (match Tagged.ptr r with
+            | Some n when n == leaf && is_flagged r -> ignore (cleanup l key sr)
+            | _ -> ());
+            raise_notrace C.Contended
+          end
+        end)
 
   let remove t l key =
     if key >= inf1 then invalid_arg "Nmtree: key too large";
     C.with_crit l.handle (stats t) (fun () ->
         let rec injection () =
-          match seek t l key with
-          | (`Prot | `Retry) as r -> r
-          | `Done sr ->
-              let leaf = sr.sr_leaf in
-              if leaf.key <> key then `Done false
-              else if
-                Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
-                  (Tagged.make ~tag:flag_bit (Some leaf))
-              then begin
-                (* We own the deletion; splice until done or helped. *)
-                if cleanup l key sr then `Done true
-                else pursue leaf
-              end
-              else begin
-                (* Someone else flagged this leaf: help, then retry. *)
-                let r = Link.get sr.sr_parent_link in
-                (match Tagged.ptr r with
-                | Some n when n == leaf && is_flagged r ->
-                    ignore (cleanup l key sr)
-                | _ -> ());
-                injection ()
-              end
+          let sr = seek t l key in
+          let leaf = sr.sr_leaf in
+          if leaf.key <> key then false
+          else if
+            Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
+              (Tagged.make ~tag:flag_bit (Some leaf))
+          then
+            (* We own the deletion; splice until done or helped. *)
+            cleanup l key sr || pursue leaf
+          else begin
+            (* Someone else flagged this leaf: help, then retry. *)
+            let r = Link.get sr.sr_parent_link in
+            (match Tagged.ptr r with
+            | Some n when n == leaf && is_flagged r -> ignore (cleanup l key sr)
+            | _ -> ());
+            injection ()
+          end
         and pursue leaf =
-          (* Our flag is planted; re-seek until the leaf is spliced out
-             (possibly by a helper). *)
+          (* Our flag is planted (the linearization point): re-seek until
+             the leaf is spliced out, possibly by a helper. No exception may
+             escape from here, which would run the remove again. *)
           match seek t l key with
-          | `Prot -> `Prot_owned leaf
-          | `Retry -> pursue leaf
-          | `Done sr ->
-              if sr.sr_leaf != leaf then `Done true
-              else if cleanup l key sr then `Done true
-              else pursue leaf
+          | exception C.Restart ->
+              (* Protection failed after the linearization point: the
+                 operation already succeeded; helpers finish the splice
+                 (paper §4.2 recovery discussion). *)
+              true
+          | exception C.Contended -> pursue leaf
+          | sr -> sr.sr_leaf != leaf || cleanup l key sr || pursue leaf
         in
-        match injection () with
-        | `Prot_owned _ ->
-            (* Protection failed after the linearization point (the flag
-               CAS): the operation already succeeded; helpers finish the
-               splice (paper §4.2 recovery discussion). *)
-            `Done true
-        | (`Prot | `Retry | `Done _) as r -> r)
+        injection ())
 
   (* Quiescent helpers. *)
 

@@ -11,36 +11,6 @@ module Stats = Smr_core.Stats
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      module C :
-        sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
-          val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
-          val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
       val flag_bit : int
       val tag_bit : int
       val is_flagged : 'a Tagged.t -> bool
@@ -89,8 +59,8 @@ module Make :
       val make_local : S.handle -> local
       val clear_local : local -> unit
       val child_link : 'a node -> int -> 'a node Link.t
-      val seek :
-        'a t -> local -> int -> [> `Done of 'a seek_record | `Prot | `Retry ]
+      val target : 'a Tagged.t -> 'a
+      val seek : 'a t -> local -> int -> 'a seek_record
       val invalidate_nodes : 'a node list -> unit
       val collect_spliced : 'a node -> int -> 'a node list
       val cleanup : local -> int -> 'v seek_record -> bool

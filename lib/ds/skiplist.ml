@@ -122,55 +122,49 @@ module Make (S : Smr.Smr_intf.S) = struct
            ~invalidate:(fun _ ->
              Array.iter Link.mark_invalid node.next))
 
-  (* One full descent. [`Done (found, preds, pred_ts, succs)] records, per
+  (* One full descent, returning [(found, preds, pred_ts, succs)]: per
      level, the last tower strictly before [key], the link record read from
-     it, and its successor. *)
+     it, and its successor. Raises [C.Restart] on a failed validation and
+     [C.Contended] when a snip lost a race. *)
   let find_attempt t l key =
     let preds = Array.make max_height { links = t.head; node = None } in
     let pred_ts = Array.make max_height Tagged.null in
     let succs = Array.make max_height None in
     let protect_cur pred_links lvl cur_t =
       if S.supports_optimistic then
-        match
-          C.try_protect ~node_header l.hp_cur l.handle
-            ~src_link:pred_links.(lvl) cur_t
-        with
-        | C.Invalid -> None
-        | C.Ok cur_t -> Some cur_t
-      else if
-        C.protect_pessimistic ~node_header l.hp_cur l.handle
+        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
           ~src_link:pred_links.(lvl) cur_t
-      then Some cur_t
-      else None
+      else if
+        C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_cur l.handle
+          ~src_link:pred_links.(lvl) cur_t
+      then cur_t
+      else raise_notrace C.Restart
     in
     let rec level lvl pred =
       if lvl < 0 then
-        `Done
-          ( (match succs.(0) with Some c -> c.key = key | None -> false),
-            preds,
-            pred_ts,
-            succs )
+        ( (match succs.(0) with Some c -> c.key = key | None -> false),
+          preds,
+          pred_ts,
+          succs )
       else
         let rec walk pred cur_t =
-          match protect_cur pred.links lvl cur_t with
-          | None -> `Prot
-          | Some cur_t -> (
-              match Tagged.ptr cur_t with
-              | None -> descend pred cur_t None
-              | Some cur ->
-                  Mem.check_access cur.hdr;
-                  let next_t = Link.get cur.next.(lvl) in
-                  if Tagged.is_deleted next_t then
-                    match
-                      snip l ~pred_links:pred.links ~lvl ~cur ~cur_t ~next_t
-                    with
-                    | Some desired -> walk pred desired
-                    | None -> `Retry
-                  else if cur.key < key then begin
-                    swap_guards l;
-                    walk { links = cur.next; node = Some cur } next_t
-                  end
-                  else descend pred cur_t (Some cur))
+          let cur_t = protect_cur pred.links lvl cur_t in
+          match Tagged.ptr cur_t with
+          | None -> descend pred cur_t None
+          | Some cur ->
+              Mem.check_access cur.hdr;
+              let next_t = Link.get cur.next.(lvl) in
+              if Tagged.is_deleted next_t then
+                match
+                  snip l ~pred_links:pred.links ~lvl ~cur ~cur_t ~next_t
+                with
+                | Some desired -> walk pred desired
+                | None -> raise_notrace C.Contended
+              else if cur.key < key then begin
+                swap_guards l;
+                walk { links = cur.next; node = Some cur } next_t
+              end
+              else descend pred cur_t (Some cur)
         and descend pred cur_t succ =
           preds.(lvl) <- pred;
           pred_ts.(lvl) <- cur_t;
@@ -186,17 +180,19 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Link levels [1 .. height-1] of a freshly inserted [node]; level 0 is
      already linked (the linearization point), so failures here only affect
-     level accounting, never the operation's result. *)
+     level accounting, never the operation's result: no exception may
+     escape to the enclosing [with_crit], which would run the insert
+     again. *)
   let link_upper t l node =
     let rec level lvl =
       if lvl >= height node then ()
       else
         match find_attempt t l node.key with
-        | `Prot ->
+        | exception C.Restart ->
             S.crit_refresh l.handle;
             give_up_levels l node ~from_level:lvl
-        | `Retry -> level lvl
-        | `Done (_, preds, pred_ts, succs) ->
+        | exception C.Contended -> level lvl
+        | _, preds, pred_ts, succs ->
             let still_there =
               match succs.(0) with Some n -> n == node | None -> false
             in
@@ -220,31 +216,28 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let get_optimistic t l key =
     let rec level lvl pred cur_t =
-      match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link:pred.links.(lvl)
-          cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          let descend pred =
-            if lvl = 0 then `Done None
-            else level (lvl - 1) pred (Link.get pred.links.(lvl - 1))
-          in
-          match Tagged.ptr cur_t with
-          | None -> descend pred
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              let next_t = Link.get cur.next.(lvl) in
-              if cur.key < key then begin
-                swap_guards l;
-                level lvl { links = cur.next; node = Some cur } next_t
-              end
-              else if cur.key = key && lvl = 0 then
-                `Done
-                  (if Tagged.is_deleted next_t then None else Some cur.value)
-              else if cur.key = key && not (Tagged.is_deleted next_t) then
-                `Done (Some cur.value)
-              else descend pred)
+      let cur_t =
+        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
+          ~src_link:pred.links.(lvl) cur_t
+      in
+      let descend pred =
+        if lvl = 0 then None
+        else level (lvl - 1) pred (Link.get pred.links.(lvl - 1))
+      in
+      match Tagged.ptr cur_t with
+      | None -> descend pred
+      | Some cur ->
+          Mem.check_access cur.hdr;
+          let next_t = Link.get cur.next.(lvl) in
+          if cur.key < key then begin
+            swap_guards l;
+            level lvl { links = cur.next; node = Some cur } next_t
+          end
+          else if cur.key = key && lvl = 0 then
+            if Tagged.is_deleted next_t then None else Some cur.value
+          else if cur.key = key && not (Tagged.is_deleted next_t) then
+            Some cur.value
+          else descend pred
     in
     let start = { links = t.head; node = None } in
     level (max_height - 1) start (Link.get t.head.(max_height - 1))
@@ -253,105 +246,90 @@ module Make (S : Smr.Smr_intf.S) = struct
     C.with_crit l.handle (stats t) (fun () ->
         if S.supports_optimistic then get_optimistic t l key
         else
-          match find_attempt t l key with
-          | (`Prot | `Retry) as r -> r
-          | `Done (found, _, _, succs) ->
-              if not found then `Done None
-              else
-                let c = Option.get succs.(0) in
-                `Done
-                  (if Tagged.is_deleted (Link.get c.next.(0)) then None
-                   else Some c.value))
+          let found, _, _, succs = find_attempt t l key in
+          if not found then None
+          else
+            let c = Option.get succs.(0) in
+            if Tagged.is_deleted (Link.get c.next.(0)) then None
+            else Some c.value)
 
+  (* A tower lost to a CAS race was never published: account for it as
+     discarded and go round with a fresh one. *)
   let insert t l key value =
-    let fresh = ref None in
     C.with_crit l.handle (stats t) (fun () ->
-        match find_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, preds, pred_ts, succs) ->
-            if found then begin
-              (match !fresh with
-              | Some _ -> Stats.on_discard (stats t)
-              | None -> ());
-              `Done false
-            end
-            else
-              let node =
-                match !fresh with
-                | Some n -> n
-                | None ->
-                    let h = random_height l in
-                    let n =
-                      {
-                        hdr = Mem.make (stats t);
-                        key;
-                        value;
-                        next = Array.init h (fun _ -> Link.null ());
-                        remaining = Atomic.make h;
-                      }
-                    in
-                    fresh := Some n;
-                    n
-              in
-              Link.set node.next.(0) (Tagged.make succs.(0));
-              if
-                Link.cas_clean preds.(0).links.(0) pred_ts.(0)
-                  (Tagged.make (Some node))
-              then begin
-                link_upper t l node;
-                `Done true
-              end
-              else `Retry)
+        let found, preds, pred_ts, succs = find_attempt t l key in
+        if found then false
+        else
+          let h = random_height l in
+          let node =
+            {
+              hdr = Mem.make (stats t);
+              key;
+              value;
+              next = Array.init h (fun _ -> Link.null ());
+              remaining = Atomic.make h;
+            }
+          in
+          Link.set node.next.(0) (Tagged.make succs.(0));
+          if
+            Link.cas_clean preds.(0).links.(0) pred_ts.(0)
+              (Tagged.make (Some node))
+          then begin
+            link_upper t l node;
+            true
+          end
+          else begin
+            Stats.on_discard (stats t);
+            raise_notrace C.Contended
+          end)
 
   let remove t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        match find_attempt t l key with
-        | (`Prot | `Retry) as r -> r
-        | `Done (found, _, _, succs) ->
-            if not found then `Done false
-            else begin
-              let x = Option.get succs.(0) in
-              S.protect l.target_guard x.hdr;
-              (* Mark from the top down; level 0 last — winning its mark CAS
-                 is the linearization point and makes us the remover. *)
-              for lvl = height x - 1 downto 1 do
-                let rec mark () =
-                  let r = Link.get x.next.(lvl) in
-                  if not (Tagged.is_deleted r) then
-                    if
-                      not
-                        (Link.cas x.next.(lvl) r
-                           (Tagged.set_bits r Tagged.deleted_bit))
-                    then mark ()
-                in
-                mark ()
-              done;
-              let rec mark_bottom () =
-                let r = Link.get x.next.(0) in
-                if Tagged.is_deleted r then `Done false
-                else if
-                  Link.cas_clean x.next.(0) r
-                    (Tagged.set_bits r Tagged.deleted_bit)
-                then begin
-                  (* Help unlink: one clean descent snips every level this
-                     thread can still see. Other traversals finish the job
-                     if ours fails. *)
-                  let rec cleanup budget =
-                    if budget > 0 then
-                      match find_attempt t l key with
-                      | `Done _ -> ()
-                      | `Prot ->
-                          S.crit_refresh l.handle;
-                          cleanup (budget - 1)
-                      | `Retry -> cleanup (budget - 1)
-                  in
-                  cleanup 16;
-                  `Done true
-                end
-                else mark_bottom ()
+        let found, _, _, succs = find_attempt t l key in
+        if not found then false
+        else begin
+          let x = Option.get succs.(0) in
+          S.protect l.target_guard x.hdr;
+          (* Mark from the top down; level 0 last — winning its mark CAS is
+             the linearization point and makes us the remover. *)
+          for lvl = height x - 1 downto 1 do
+            let rec mark () =
+              let r = Link.get x.next.(lvl) in
+              if not (Tagged.is_deleted r) then
+                if
+                  not
+                    (Link.cas x.next.(lvl) r
+                       (Tagged.set_bits r Tagged.deleted_bit))
+                then mark ()
+            in
+            mark ()
+          done;
+          let rec mark_bottom () =
+            let r = Link.get x.next.(0) in
+            if Tagged.is_deleted r then false
+            else if
+              Link.cas_clean x.next.(0) r (Tagged.set_bits r Tagged.deleted_bit)
+            then begin
+              (* Help unlink: one clean descent snips every level this
+                 thread can still see. Other traversals finish the job if
+                 ours fails. Past the linearization point, so no exception
+                 escapes. *)
+              let rec cleanup budget =
+                if budget > 0 then
+                  match find_attempt t l key with
+                  | _ -> ()
+                  | exception C.Restart ->
+                      S.crit_refresh l.handle;
+                      cleanup (budget - 1)
+                  | exception C.Contended -> cleanup (budget - 1)
               in
-              mark_bottom ()
-            end)
+              cleanup 16;
+              true
+            end
+            else mark_bottom ()
+          in
+          mark_bottom ()
+        end)
 
   (* Quiescent helpers. *)
 

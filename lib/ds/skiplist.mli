@@ -12,36 +12,6 @@ module Rng = Smr_core.Rng
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      module C :
-        sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
-          val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
-          val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
       val max_height : int
       type 'v node = {
         hdr : Mem.header;
@@ -79,18 +49,8 @@ module Make :
         cur_t:'a node Smr_core.Tagged.t ->
         next_t:'a node Tagged.t -> 'a node Tagged.t option
       val give_up_levels : local -> 'a node -> from_level:int -> unit
-      val find_attempt :
-        'a t ->
-        local ->
-        int ->
-        [> `Done of
-             bool * 'a pred array * 'a node Tagged.t array *
-             'a node option array
-         | `Prot
-         | `Retry ]
       val link_upper : 'a t -> local -> 'a node -> unit
-      val get_optimistic :
-        'a t -> local -> int -> [> `Done of 'a option | `Prot ]
+      val get_optimistic : 'a t -> local -> int -> 'a option
       val get : 'a t -> local -> int -> 'a option
       val insert : 'a t -> local -> int -> 'a -> bool
       val remove : 'a t -> local -> int -> bool

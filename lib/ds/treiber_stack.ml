@@ -31,44 +31,39 @@ module Make (S : Smr.Smr_intf.S) = struct
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
         let node = { hdr; value; next = Tagged.ptr top_t } in
-        if Link.cas_clean t.top top_t (Tagged.make (Some node)) then `Done ()
-        else `Retry)
+        if not (Link.cas_clean t.top top_t (Tagged.make (Some node))) then
+          raise_notrace C.Contended)
 
   let pop t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
         match Tagged.ptr top_t with
-        | None -> `Done None
+        | None -> None
         | Some n ->
             if
               not
-                (C.protect_pessimistic ~node_header l.hp l.handle
-                   ~src_link:t.top top_t)
-            then `Prot
-            else begin
-              Mem.check_access n.hdr;
-              if Link.cas_clean t.top top_t (Tagged.make n.next) then begin
-                S.retire l.handle n.hdr;
-                `Done (Some n.value)
-              end
-              else `Retry
-            end)
+                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                   l.handle ~src_link:t.top top_t)
+            then raise_notrace C.Restart;
+            Mem.check_access n.hdr;
+            if not (Link.cas_clean t.top top_t (Tagged.make n.next)) then
+              raise_notrace C.Contended;
+            S.retire l.handle n.hdr;
+            Some n.value)
 
   let peek t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
         match Tagged.ptr top_t with
-        | None -> `Done None
+        | None -> None
         | Some n ->
             if
               not
-                (C.protect_pessimistic ~node_header l.hp l.handle
-                   ~src_link:t.top top_t)
-            then `Prot
-            else begin
-              Mem.check_access n.hdr;
-              `Done (Some n.value)
-            end)
+                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                   l.handle ~src_link:t.top top_t)
+            then raise_notrace C.Restart;
+            Mem.check_access n.hdr;
+            Some n.value)
 
   (* Quiescent helpers. *)
 

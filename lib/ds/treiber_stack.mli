@@ -10,36 +10,6 @@ module Link = Smr_core.Link
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      module C :
-        sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
-          val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
-          val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
       type 'v node = { hdr : Mem.header; value : 'v; next : 'v node option; }
       val node_header : 'a node -> Mem.header
       type 'v t = { scheme : S.t; top : 'v node Link.t; }

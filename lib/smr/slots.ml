@@ -1,6 +1,8 @@
 module Mem = Smr_core.Mem
 
-type slot = Mem.header option Atomic.t
+(* An empty slot holds [Mem.phantom], so publishing a protection stores
+   the header itself and allocates nothing. *)
+type slot = Mem.header Atomic.t
 
 let chunk_size = 64
 
@@ -31,7 +33,7 @@ let rec push_chunk registry chunk =
 
 let new_chunk () =
   {
-    slots = Array.init chunk_size (fun _ -> Atomic.make None);
+    slots = Array.init chunk_size (fun _ -> Atomic.make Mem.phantom);
     active = Atomic.make true;
   }
 
@@ -87,13 +89,12 @@ module Trace = Obs.Trace
    (see Obs.Trace on emission-order discipline). *)
 let trace_unprotect slot =
   if Trace.enabled () then
-    match Atomic.get slot with
-    | Some prev -> Trace.emit Trace.Unprotect (Mem.uid prev) 0 0
-    | None -> ()
+    let prev = Atomic.get slot in
+    if prev != Mem.phantom then Trace.emit Trace.Unprotect (Mem.uid prev) 0 0
 
 let set slot hdr =
   trace_unprotect slot;
-  Atomic.set slot (Some hdr);
+  Atomic.set slot hdr;
   (* Crash window: the protection is published, nothing has been validated
      or released. A kill leaves the slot set until a reaper clears it; a
      stall parks the victim with the hazard held. *)
@@ -101,9 +102,7 @@ let set slot hdr =
 
 let clear slot =
   trace_unprotect slot;
-  Atomic.set slot None
-
-let get slot = Atomic.get slot
+  Atomic.set slot Mem.phantom
 
 let release local slot =
   clear slot;
@@ -208,9 +207,8 @@ let scan_snapshot registry scan =
       if Atomic.get chunk.active then
         Array.iter
           (fun slot ->
-            match Atomic.get slot with
-            | Some hdr -> scan_push scan (Mem.uid hdr)
-            | None -> ())
+            let hdr = Atomic.get slot in
+            if hdr != Mem.phantom then scan_push scan (Mem.uid hdr))
           chunk.slots)
     (Atomic.get registry.chunks);
   sort_prefix scan.uids scan.len

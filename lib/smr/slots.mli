@@ -43,8 +43,6 @@ val acquire : local -> slot
 val set : slot -> Smr_core.Mem.header -> unit
 val clear : slot -> unit
 
-val get : slot -> Smr_core.Mem.header option
-
 val release : local -> slot -> unit
 (** Clear the slot and return it to the owner's free list. *)
 

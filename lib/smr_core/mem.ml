@@ -46,7 +46,8 @@ let make stats =
   if Trace.enabled () then Trace.emit Trace.Alloc h.uid 0 0;
   h
 
-(* A shared placeholder header: array filler for retire batches. Never
+(* A shared placeholder header: array filler for retire batches, the value
+   of an empty hazard slot, the "no source" of a protect step. Never
    retired, freed or dereferenced. Its uid is -2, NOT -1: -1 is the "no
    node" sentinel of Step trace events (Ds_common.uid_of_hdr), and the two
    must stay distinguishable in traces — the replay checker rejects any

@@ -30,8 +30,9 @@ val phantom_uid : int
     trace cannot masquerade as "stepped from the list head". *)
 
 val phantom : header
-(** A shared placeholder header (uid {!phantom_uid}) used as array filler by
-    retire batches. Never retire, free or access it: the retire/free paths
+(** A shared placeholder header (uid {!phantom_uid}): array filler for
+    retire batches, the value of an empty hazard slot, and the "no source
+    node" argument of [Ds_common]'s protect helpers. Never retire, free or access it: the retire/free paths
     raise [Invalid_argument] if it reaches them, and the trace-replay
     checker rejects any event carrying its uid. *)
 

@@ -5,11 +5,10 @@
 
 let lookup t l key =
   let rec go src link expected =
-    match C.try_protect ~src ~node_header l.hp link expected with
-    | C.Invalid -> None
-    | C.Ok cur -> (
-        match Tagged.ptr cur with
-        | None -> None
-        | Some n -> if n.key = key then Some n.value else go None n.next cur)
+    let cur = C.try_protect ~src ~node_header l.hp link expected in
+    match Tagged.ptr cur with
+    | None -> None
+    | Some n ->
+        if n.key = key then Some n.value else go n.hdr n.next (Link.get n.next)
   in
-  go None t.head (Link.get t.head)
+  go Mem.phantom t.head (Link.get t.head)

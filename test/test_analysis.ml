@@ -54,14 +54,13 @@ let protected_traversal =
   {|
 let lookup t l key =
   let rec go src link expected =
-    match C.try_protect ~src ~node_header l.hp link expected with
-    | C.Invalid -> None
-    | C.Ok cur -> (
-        match Tagged.ptr cur with
-        | None -> None
-        | Some n -> if n.key = key then Some n.value else go None n.next cur)
+    let cur = C.try_protect ~src ~node_header l.hp link expected in
+    match Tagged.ptr cur with
+    | None -> None
+    | Some n ->
+        if n.key = key then Some n.value else go n.hdr n.next (Link.get n.next)
   in
-  go None t.head (Link.get t.head)
+  go Mem.phantom t.head (Link.get t.head)
 |}
 
 (* Raw read without dereferencing the fetched node (Treiber push). *)
@@ -265,10 +264,10 @@ let lookup t =
 let read_key n = n.key
 
 let lookup t l =
-  match C.try_protect ~src:None ~node_header l.hp t.head (Link.get t.head) with
-  | C.Invalid -> 0
-  | C.Ok cur -> (
-      match Tagged.ptr cur with None -> 0 | Some n -> read_key n)
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp t.head (Link.get t.head)
+  in
+  match Tagged.ptr cur with None -> 0 | Some n -> read_key n
 |}
 
 let test_f2 () =
@@ -309,17 +308,17 @@ let drop l cur =
   check_silent "unlink then retire" ~path:ds_path
     {|
 let pop t l =
-  match C.try_protect ~src:None ~node_header l.hp t.head (Link.get t.head) with
-  | C.Invalid -> None
-  | C.Ok cur -> (
-      match Tagged.ptr cur with
-      | None -> None
-      | Some n ->
-          if Link.cas t.head cur (Link.get n.next) then begin
-            S.retire l.handle cur;
-            Some n.value
-          end
-          else None)
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp t.head (Link.get t.head)
+  in
+  match Tagged.ptr cur with
+  | None -> None
+  | Some n ->
+      if Link.cas t.head cur (Link.get n.next) then begin
+        S.retire l.handle cur;
+        Some n.value
+      end
+      else None
 |}
 
 (* --- F4: collector handoff -------------------------------------------------- *)
@@ -465,9 +464,8 @@ let test_fact_laws () =
 let mutual_src =
   {|
 let rec walk t l link expected =
-  match C.try_protect ~src:None ~node_header l.hp link expected with
-  | C.Invalid -> None
-  | C.Ok cur -> step t l cur
+  let cur = C.try_protect ~src:Mem.phantom ~node_header l.hp link expected in
+  step t l cur
 
 and step t l cur =
   match Tagged.ptr cur with
@@ -525,9 +523,8 @@ let test_mutual_behavior () =
   check_fires "raw arg into recursive cycle" "F1" ~path:ds_path
     {|
 let rec walk t l link expected =
-  match C.try_protect ~src:None ~node_header l.hp link expected with
-  | C.Invalid -> step t l (Link.get link)
-  | C.Ok cur -> step t l cur
+  let cur = C.try_protect ~src:Mem.phantom ~node_header l.hp link expected in
+  if Tagged.is_null cur then step t l (Link.get link) else step t l cur
 
 and step t l cur =
   match Tagged.ptr cur with

@@ -143,6 +143,106 @@ module Kill_hpp = Kill_matrix (Hp_plus) (Smr_ds.Hhslist.Make (Hp_plus))
 module Kill_ebr = Kill_matrix (Ebr) (Smr_ds.Hhslist.Make (Ebr))
 module Kill_pebr = Kill_matrix (Pebr) (Smr_ds.Hhslist.Make (Pebr))
 
+(* --- kills inside with_crit ------------------------------------------------ *)
+
+(* The retry loop goes round on Restart (counted) and Contended (not). *)
+let test_with_crit_retries (module S : Smr.Smr_intf.S) () =
+  let module C = Smr_ds.Ds_common.Make (S) in
+  let scheme = S.create () in
+  let h = S.register scheme in
+  let stats = S.stats scheme in
+  let passes = ref 0 in
+  let raise_first e () =
+    incr passes;
+    if !passes = 1 then raise e else !passes
+  in
+  Alcotest.(check int) "restart: second pass returns" 2
+    (C.with_crit h stats (raise_first C.Restart));
+  Alcotest.(check int) "restart counted" 1 (Stats.protection_failures stats);
+  passes := 0;
+  Alcotest.(check int) "contended: second pass returns" 2
+    (C.with_crit h stats (raise_first C.Contended));
+  Alcotest.(check int) "contention not counted" 1
+    (Stats.protection_failures stats);
+  S.unregister h
+
+(* A [Fault.Killed] inside a with_crit body is a crash, not a retry: it
+   leaves the operation on its first pass, is never counted as a protection
+   failure, and report_crashed recovers the handle it abandoned. One victim
+   raises it from the body itself, a second is killed by a plan at [point]
+   while churning a HashMap (every operation a with_crit body). *)
+let crit_kill (module S : Smr.Smr_intf.S) point () =
+  Fault.reset ();
+  let module C = Smr_ds.Ds_common.Make (S) in
+  let module M = Smr_ds.Hashmap.Make (S) in
+  let scheme = S.create ~config:cfg () in
+  let stats = S.stats scheme in
+  let t = M.create scheme in
+  let direct = S.register scheme in
+  let passes = ref 0 in
+  (match
+     C.with_crit direct stats (fun () ->
+         incr passes;
+         raise (Fault.Killed point))
+   with
+  | () -> Alcotest.fail "the body cannot return"
+  | exception Fault.Killed _ -> ());
+  Alcotest.(check int) "a raising body runs once" 1 !passes;
+  let victim = S.register scheme in
+  let lo = M.make_local victim in
+  Fault.arm ~point ~action:Fault.Kill ~after:40 ();
+  (match
+     for round = 0 to 99 do
+       for k = 0 to 63 do
+         ignore (M.insert t lo k round);
+         ignore (M.remove t lo k)
+       done
+     done
+   with
+  | () -> Alcotest.failf "plan at %s never fired" (Fault.point_name point)
+  | exception Fault.Killed p ->
+      Alcotest.(check string) "killed at the armed point"
+        (Fault.point_name point) (Fault.point_name p));
+  Alcotest.(check int) "no kill counted as a protection failure" 0
+    (Stats.protection_failures stats);
+  let survivor = S.register scheme in
+  let lo2 = M.make_local survivor in
+  S.report_crashed direct;
+  S.report_crashed victim;
+  for k = 0 to 63 do
+    ignore (M.insert t lo2 k k);
+    ignore (M.remove t lo2 k)
+  done;
+  M.assert_reachable_not_freed t;
+  M.clear_local lo2;
+  S.flush survivor;
+  S.flush survivor;
+  S.flush survivor;
+  let leaked = Stats.unreclaimed stats in
+  if leaked > 16 then
+    Alcotest.failf "%d unreclaimed blocks after recovering %s kills" leaked
+      S.name;
+  S.unregister survivor;
+  Fault.reset ()
+
+let crit_kill_cases =
+  List.concat_map
+    (fun (name, points) ->
+      let s = Schemes.find name in
+      List.map
+        (fun point ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: kill at %s escapes" name
+               (Fault.point_name point))
+            `Quick (crit_kill s point))
+        points)
+    [
+      ("HP", [ Fault.Retire; Fault.Protect ]);
+      ("HP++", [ Fault.Retire; Fault.Protect ]);
+      ("EBR", [ Fault.Retire ]);
+      ("PEBR", [ Fault.Retire; Fault.Protect ]);
+    ]
+
 (* --- robustness split under an unreported crash ------------------------- *)
 
 (* The victim dies pinned inside a critical section and nobody has run
@@ -371,6 +471,13 @@ let () =
             (Fault.Retire, 35); (Fault.Protect, 50); (Fault.Crit, 23);
             (Fault.Reclaim, 5);
           ] );
+      ( "with_crit",
+        List.map
+          (fun (module S : Smr.Smr_intf.S) ->
+            Alcotest.test_case (S.name ^ " retries") `Quick
+              (test_with_crit_retries (module S)))
+          Schemes.all
+        @ crit_kill_cases );
       ( "unreported",
         [
           Alcotest.test_case "EBR garbage unbounded until report" `Quick

@@ -62,11 +62,11 @@ let test_scenario_one () =
   (* T1 walks h->p and validates protection of p. *)
   let hp_prev = Hp_plus.guard t1 and hp_cur = Hp_plus.guard t1 in
   (match
-     C.try_protect ~node_header:L.node_header hp_cur t1 ~src_link:t.L.head
-       (Link.get t.L.head)
+     C.try_protect ~src:Mem.phantom ~node_header:L.node_header hp_cur t1
+       ~src_link:t.L.head (Link.get t.L.head)
    with
-  | C.Ok tg -> assert (Tagged.ptr tg = Some p)
-  | C.Invalid -> Alcotest.fail "protection of p must succeed");
+  | tg -> assert (Tagged.ptr tg = Some p)
+  | exception C.Restart -> Alcotest.fail "protection of p must succeed");
   (* A stalled remover marked p and q; T2's traversal (any operation
      passing by) unlinks the whole chain with one CAS. *)
   mark p;
@@ -85,13 +85,13 @@ let test_scenario_one () =
   (* T1 now tries the optimistic step p -> q. p is not invalidated yet, so
      the step is allowed — and it is SAFE, because q is not freed. *)
   (match
-     C.try_protect ~node_header:L.node_header hp_prev t1 ~src_link:p.L.next
-       (Link.get p.L.next)
+     C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_prev t1
+       ~src_link:p.L.next (Link.get p.L.next)
    with
-  | C.Ok tg ->
+  | tg ->
       assert (Tagged.same_ptr tg (Tagged.make (Some q)));
       Mem.check_access q.L.hdr (* would raise on a use-after-free *)
-  | C.Invalid -> Alcotest.fail "p is not invalidated yet");
+  | exception C.Restart -> Alcotest.fail "p is not invalidated yet");
   (* T1 releases q and moves on; T2 completes its deferred invalidation. *)
   Hp_plus.release hp_prev;
   Hp_plus.release hp_cur;
@@ -108,12 +108,11 @@ let test_scenario_one () =
     (Mem.Use_after_free (Mem.uid q.L.hdr)) (fun () ->
       Mem.check_access q.L.hdr);
   (* And the HP++ traverser is told to restart instead: *)
-  (match
-     C.try_protect ~node_header:L.node_header hp_cur t1 ~src_link:p.L.next
-       (Link.get p.L.next)
-   with
-  | C.Invalid -> ()
-  | C.Ok _ -> Alcotest.fail "step from invalidated p must fail");
+  Alcotest.check_raises "step from invalidated p must fail" C.Restart
+    (fun () ->
+      ignore
+        (C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_cur t1
+           ~src_link:p.L.next (Link.get p.L.next)));
   Hp_plus.unregister t1;
   Hp_plus.unregister t2
 
@@ -135,26 +134,24 @@ let test_scenario_two () =
   (* T2's search unlinks the chain p,q; its frontier protection of r is now
      pending until its DoInvalidation. *)
   assert (L.get t lo2 3 <> None);
-  assert (
-    match L.search_attempt t lo2 3 with
-    | `Done (found, _, _, _) -> found
-    | `Prot | `Retry -> false);
+  (* an insert of the present key 3 runs the same unlinking search *)
+  assert (L.insert t lo2 3 "r'" = false);
   Alcotest.(check int) "chain pending" 2 (Hp_plus.pending_unlinked t2);
   (* T1 (stale) walks p -> q -> r optimistically; every step validates
      against invalidation and succeeds because T2 has not invalidated. *)
   let g1 = Hp_plus.guard t1 and g2 = Hp_plus.guard t1 in
   (match
-     C.try_protect ~node_header:L.node_header g1 t1 ~src_link:p.L.next
-       (Link.get p.L.next)
+     C.try_protect ~src:p.L.hdr ~node_header:L.node_header g1 t1
+       ~src_link:p.L.next (Link.get p.L.next)
    with
-  | C.Ok tg -> assert (Tagged.same_ptr tg (Tagged.make (Some q)))
-  | C.Invalid -> Alcotest.fail "q step");
+  | tg -> assert (Tagged.same_ptr tg (Tagged.make (Some q)))
+  | exception C.Restart -> Alcotest.fail "q step");
   (match
-     C.try_protect ~node_header:L.node_header g2 t1 ~src_link:q.L.next
-       (Link.get q.L.next)
+     C.try_protect ~src:q.L.hdr ~node_header:L.node_header g2 t1
+       ~src_link:q.L.next (Link.get q.L.next)
    with
-  | C.Ok tg -> assert (Tagged.same_ptr tg (Tagged.make (Some r)))
-  | C.Invalid -> Alcotest.fail "r step");
+  | tg -> assert (Tagged.same_ptr tg (Tagged.make (Some r)))
+  | exception C.Restart -> Alcotest.fail "r step");
   (* T3 deletes r and reclaims hard. *)
   assert (L.remove t lo3 3);
   Hp_plus.do_invalidation t3;
